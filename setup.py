@@ -1,24 +1,31 @@
 import os
 
 from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext
+from setuptools.errors import CCompilerError, ExecError, PlatformError
+
+
+class BuildKernel(build_ext):
+    """Build the C kernel; on failure stop and say how to skip it."""
+
+    def run(self):
+        try:
+            super().run()
+        except (CCompilerError, ExecError, PlatformError) as exc:
+            raise SystemExit(
+                f"error: cannot build the compiled search kernel: {exc}\n"
+                "Set BOLFORGE_PURE=1 to install the pure-Python kernel only."
+            ) from exc
+
 
 ext_modules = []
 if os.environ.get("BOLFORGE_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "bolforge.search._kernel_cy",
-                    ["src/bolforge/search/_kernel_cy.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3", "boundscheck": False, "wraparound": False},
+    ext_modules = [
+        Extension(
+            "bolforge.search._kernel_c",
+            ["src/bolforge/search/_kernel_c.c"],
+            extra_compile_args=["-O3"],
         )
-    except ImportError:
-        # No Cython available: install the pure-Python kernel only.
-        ext_modules = []
+    ]
 
-setup(ext_modules=ext_modules)
+setup(ext_modules=ext_modules, cmdclass={"build_ext": BuildKernel})

@@ -69,7 +69,6 @@ from .search import (
     SearchSpec,
     SearchStats,
     SearchWitness,
-    active_backend,
     canonical_form,
     construct_bruck_from_group,
     enumerate_loops,

@@ -8,7 +8,9 @@ without a witness.
 Search outputs are content-addressed: each representative is written as
 a canonical-format loop file named by the hash of its table, so
 identical runs produce byte-identical files; volatile data (timings,
-timestamps) goes only to the stats sidecar.  The env var
+timestamps) goes only to the stats sidecar.  A search refuses an output
+directory that already holds loop files or a stats sidecar, so outputs
+of two runs never mix.  The env var
 ``BOLFORGE_BUDGET_NODES`` overrides the default node budget; an
 explicit ``--budget-nodes`` flag wins over the env var.
 """
@@ -34,7 +36,6 @@ from .props import (
 from .search import (
     SearchResult,
     SearchSpec,
-    active_backend,
     canonical_form,
     construct_bruck_from_group,
     enumerate_loops,
@@ -125,6 +126,13 @@ def cmd_verify(args) -> int:
     return EXIT_REFUTED if report.refuted else EXIT_OK
 
 
+def _refuse_used_out_dir(out_dir: str) -> None:
+    """Keep runs from mixing: an --out directory must hold no search output yet."""
+    out = Path(out_dir)
+    if (out / "stats.json").exists() or any(out.glob("*.loop")):
+        raise LoopError(f"{out_dir} already holds search output; choose an empty directory")
+
+
 def _write_search_output(result: SearchResult, out_dir: str, elapsed: float) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,7 +151,7 @@ def _write_search_output(result: SearchResult, out_dir: str, elapsed: float) -> 
             "node_budget": result.spec.node_budget,
             "wall_budget_s": result.spec.wall_budget_s,
         },
-        "backend": active_backend(),
+        "backend": result.backend,
         "representatives": names,
         "witnesses": [
             {"file": names[i], "target": w.target, "data": w.data}
@@ -169,6 +177,7 @@ def cmd_enumerate(args) -> int:
         jobs=args.jobs,
         nonassociative_only=args.nonassociative,
     )
+    _refuse_used_out_dir(args.out)
     t0 = time.monotonic()
     result = enumerate_loops(spec)
     names = _write_search_output(result, args.out, time.monotonic() - t0)
@@ -186,6 +195,7 @@ def cmd_find(args) -> int:
         wall_budget_s=args.budget_seconds,
         jobs=args.jobs,
     )
+    _refuse_used_out_dir(args.out)
     t0 = time.monotonic()
     result = find_first(spec)
     names = _write_search_output(result, args.out, time.monotonic() - t0)

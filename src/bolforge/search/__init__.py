@@ -1,10 +1,10 @@
 """Loop enumeration and counterexample search.
 
-The cell-fill kernel exists twice: a compiled extension
-(``_kernel_cy``) for speed and a pure-Python twin (``_kernel_py``) used
-when the extension is unavailable.  Selection happens here at import
-lookup time; the env var ``BOLFORGE_KERNEL`` (``python`` or ``cython``)
-forces a backend.  Both produce identical output.
+The cell-fill kernel exists twice: a hand-written C extension
+(``_kernel_c``, built by ``setup.py``) for speed and a pure-Python twin
+(``_kernel_py``) used when the extension is not built.  Selection happens
+here at import lookup time; the env var ``BOLFORGE_KERNEL`` (``c`` or
+``python``) forces a backend.  Both produce identical output.
 """
 
 from __future__ import annotations
@@ -15,24 +15,19 @@ import os
 def get_kernel(backend: str | None = None):
     """Return the kernel module for the requested (or default) backend."""
     name = backend or os.environ.get("BOLFORGE_KERNEL") or "auto"
-    if name not in ("auto", "cython", "python"):
+    if name not in ("auto", "c", "python"):
         raise ValueError(f"unknown kernel backend {name!r}")
-    if name in ("auto", "cython"):
+    if name in ("auto", "c"):
         try:
-            from . import _kernel_cy
+            from . import _kernel_c
 
-            return _kernel_cy
+            return _kernel_c
         except ImportError:
-            if name == "cython":
+            if name == "c":
                 raise
     from . import _kernel_py
 
     return _kernel_py
-
-
-def active_backend() -> str:
-    """Name of the kernel the default selection resolves to."""
-    return get_kernel().BACKEND
 
 
 from .canon import canonical_form  # noqa: E402
@@ -51,7 +46,6 @@ __all__ = [
     "SearchSpec",
     "SearchStats",
     "SearchWitness",
-    "active_backend",
     "canonical_form",
     "construct_bruck_from_group",
     "enumerate_loops",

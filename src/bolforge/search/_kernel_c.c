@@ -1,0 +1,654 @@
+/*
+ * Compiled backtracking kernel for normalized Cayley-table search.
+ *
+ * Twin of ``_kernel_py``: the two must stay in lockstep and return equal
+ * results, every counter included, for equal arguments.  See the Python
+ * module for the algorithm.  Tables are flat row-major byte arrays with
+ * EMPTY marking an unfilled cell; row 0 and column 0 hold the identity.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+#define EMPTY 255
+/* Bound of the fixed-size arrays below; callers limit orders themselves. */
+#define MAX_ORDER 10
+
+enum {
+    CONSTRAINT_NONE,
+    CONSTRAINT_LEFT_BOL,
+    CONSTRAINT_RIGHT_BOL,
+    CONSTRAINT_MOUFANG,
+    CONSTRAINT_ASSOC,
+};
+
+/* -- identity-fixing relabelings ------------------------------------------ */
+
+/*
+ * The non-identity relabelings of 0..n-1 that fix 0, in a buffer of
+ * (n-1)! records of 2n bytes: the permutation, then its inverse.  Records
+ * are grouped by inverse[1], the source row of image row 1; group k starts
+ * at record start[k] and holds count[k] records, so a partial table filled
+ * through row r is only compared against groups k <= r.  Built on first
+ * use of an order and kept for the life of the process.
+ */
+typedef struct {
+    unsigned char *recs;
+    int start[MAX_ORDER];
+    int count[MAX_ORDER];
+} PermTable;
+
+static PermTable perm_tables[MAX_ORDER + 1];
+
+/* Step a to its lexicographic successor; 0 once a is the last permutation. */
+static int
+next_permutation(unsigned char *a, int len)
+{
+    int i = len - 2, j;
+    unsigned char t;
+    while (i >= 0 && a[i] >= a[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    j = len - 1;
+    while (a[j] <= a[i])
+        j--;
+    t = a[i]; a[i] = a[j]; a[j] = t;
+    for (i++, j = len - 1; i < j; i++, j--) {
+        t = a[i]; a[i] = a[j]; a[j] = t;
+    }
+    return 1;
+}
+
+static const PermTable *
+perm_table(int n)
+{
+    PermTable *pt = &perm_tables[n];
+    unsigned char perm[MAX_ORDER], inv[MAX_ORDER], *rec;
+    int fill[MAX_ORDER];
+    size_t nrecs = 1;
+    int group = 1, i, k;
+
+    if (pt->recs != NULL)
+        return pt;
+    for (i = 2; i < n; i++)
+        nrecs *= i;
+    pt->recs = malloc(nrecs * 2 * n);
+    if (pt->recs == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    /* Each group holds the (n-2)! perms sending k to 1; group 1 also
+     * holds the identity, which is left out. */
+    for (i = 2; i < n - 1; i++)
+        group *= i;
+    for (k = 1; k < n; k++) {
+        pt->count[k] = k == 1 ? group - 1 : group;
+        pt->start[k] = k == 1 ? 0 : pt->start[k - 1] + pt->count[k - 1];
+        fill[k] = 0;
+    }
+    for (i = 0; i < n; i++)
+        perm[i] = (unsigned char)i;
+    while (next_permutation(perm + 1, n - 1)) {
+        for (i = 0; i < n; i++)
+            inv[perm[i]] = (unsigned char)i;
+        k = inv[1];
+        rec = pt->recs + (size_t)(pt->start[k] + fill[k]++) * 2 * n;
+        memcpy(rec, perm, n);
+        memcpy(rec + n, inv, n);
+    }
+    return pt;
+}
+
+/* -- search state ---------------------------------------------------------- */
+
+typedef struct {
+    int n, constraint, iso_rows, ncells;
+    int find_mode, debug_leaf, prefix_only, found, exhausted;
+    long long node_budget, nodes, latin_prunes, identity_prunes;
+    long long iso_prunes, leaves, canonical;
+    double deadline;
+    unsigned char T[MAX_ORDER * MAX_ORDER];
+    unsigned int row_used[MAX_ORDER], col_used[MAX_ORDER], full_mask;
+    const PermTable *perms;
+    PyObject *leaf_cb; /* borrowed */
+    PyObject *tables;  /* owned list of bytes */
+} Search;
+
+/* The keyword defaults of run and collect_prefixes; everything else 0. */
+#define SEARCH_DEFAULTS {.iso_rows = -1, .node_budget = 100000000LL, .leaf_cb = Py_None}
+
+static double
+monotonic_now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
+}
+
+static int
+check_order(int n)
+{
+    if (n < 1 || n > MAX_ORDER) {
+        PyErr_Format(PyExc_ValueError, "kernel supports orders 1..%d, got %d", MAX_ORDER, n);
+        return -1;
+    }
+    return 0;
+}
+
+/* Set up s, which starts from SEARCH_DEFAULTS plus the parsed arguments,
+ * with the prefix cells filled in; returns the number of prefix cells,
+ * where the search starts, or -1 on error. */
+static int
+search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
+{
+    int i, r, c;
+    long v;
+    PyObject *seq;
+    Py_ssize_t len;
+
+    if (check_order(n) < 0)
+        return -1;
+    s->n = n;
+    s->constraint = constraint;
+    s->prefix_only = prefix_only;
+    memset(s->T, EMPTY, sizeof s->T);
+    for (i = 0; i < n; i++) {
+        s->T[i] = (unsigned char)i;
+        s->T[i * n] = (unsigned char)i;
+    }
+    s->full_mask = (1u << n) - 1;
+    s->row_used[0] = s->col_used[0] = s->full_mask;
+    for (i = 1; i < n; i++)
+        s->row_used[i] = s->col_used[i] = 1u << i;
+    s->ncells = prefix_only ? n - 1 : (n - 1) * (n - 1);
+    s->exhausted = 1;
+    s->perms = perm_table(n);
+    if (s->perms == NULL)
+        return -1;
+
+    if (prefix == Py_None)
+        return 0;
+    seq = PySequence_Fast(prefix, "prefix must be a sequence of cell values");
+    if (seq == NULL)
+        return -1;
+    len = PySequence_Fast_GET_SIZE(seq);
+    if (len > s->ncells) {
+        PyErr_Format(PyExc_ValueError, "prefix of %zd cells exceeds the %d free cells",
+                     len, s->ncells);
+        Py_DECREF(seq);
+        return -1;
+    }
+    for (i = 0; i < len; i++) {
+        v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        if (v < 0 || v >= n) {
+            PyErr_Format(PyExc_ValueError, "prefix value %ld out of range for order %d", v, n);
+            Py_DECREF(seq);
+            return -1;
+        }
+        r = 1 + i / (n - 1);
+        c = 1 + i % (n - 1);
+        s->T[r * n + c] = (unsigned char)v;
+        s->row_used[r] |= 1u << v;
+        s->col_used[c] |= 1u << v;
+    }
+    Py_DECREF(seq);
+    return (int)len;
+}
+
+/* -- identity instance scans ------------------------------------------------ */
+
+/* x(y * xz) = (x * yx)z; instances with x = 0 or z = 0 hold trivially. */
+static int
+check_left_bol(const Search *s)
+{
+    const unsigned char *T = s->T;
+    int n = s->n, x, y, z, xn, yn;
+    unsigned char t1, u1, t2, u2, lhs, rhs;
+    for (x = 1; x < n; x++) {
+        xn = x * n;
+        for (z = 1; z < n; z++) {
+            t1 = T[xn + z];
+            if (t1 == EMPTY)
+                continue;
+            for (y = 0; y < n; y++) {
+                yn = y * n;
+                u1 = T[yn + x];
+                if (u1 == EMPTY)
+                    continue;
+                t2 = T[yn + t1];
+                if (t2 == EMPTY)
+                    continue;
+                u2 = T[xn + u1];
+                if (u2 == EMPTY)
+                    continue;
+                lhs = T[xn + t2];
+                if (lhs == EMPTY)
+                    continue;
+                rhs = T[u2 * n + z];
+                if (rhs == EMPTY)
+                    continue;
+                if (lhs != rhs)
+                    return 0;
+            }
+        }
+    }
+    return 1;
+}
+
+/* ((zx)y)x = z((xy)x); instances with x = 0 or z = 0 hold trivially. */
+static int
+check_right_bol(const Search *s)
+{
+    const unsigned char *T = s->T;
+    int n = s->n, x, y, z, xn, zn;
+    unsigned char t1, u1, t2, u2, lhs, rhs;
+    for (x = 1; x < n; x++) {
+        xn = x * n;
+        for (y = 0; y < n; y++) {
+            u1 = T[xn + y];
+            if (u1 == EMPTY)
+                continue;
+            u2 = T[u1 * n + x];
+            if (u2 == EMPTY)
+                continue;
+            for (z = 1; z < n; z++) {
+                zn = z * n;
+                t1 = T[zn + x];
+                if (t1 == EMPTY)
+                    continue;
+                t2 = T[t1 * n + y];
+                if (t2 == EMPTY)
+                    continue;
+                lhs = T[t2 * n + x];
+                if (lhs == EMPTY)
+                    continue;
+                rhs = T[zn + u2];
+                if (rhs == EMPTY)
+                    continue;
+                if (lhs != rhs)
+                    return 0;
+            }
+        }
+    }
+    return 1;
+}
+
+/* (xy)z = x(yz); instances with any variable 0 hold trivially. */
+static int
+check_assoc(const Search *s)
+{
+    const unsigned char *T = s->T;
+    int n = s->n, x, y, z, xn, yn, t1n;
+    unsigned char t1, u1, lhs, rhs;
+    for (x = 1; x < n; x++) {
+        xn = x * n;
+        for (y = 1; y < n; y++) {
+            yn = y * n;
+            t1 = T[xn + y];
+            if (t1 == EMPTY)
+                continue;
+            t1n = t1 * n;
+            for (z = 1; z < n; z++) {
+                lhs = T[t1n + z];
+                if (lhs == EMPTY)
+                    continue;
+                u1 = T[yn + z];
+                if (u1 == EMPTY)
+                    continue;
+                rhs = T[xn + u1];
+                if (rhs == EMPTY)
+                    continue;
+                if (lhs != rhs)
+                    return 0;
+            }
+        }
+    }
+    return 1;
+}
+
+static int
+identity_ok(const Search *s)
+{
+    switch (s->constraint) {
+    case CONSTRAINT_NONE:
+        return 1;
+    case CONSTRAINT_LEFT_BOL:
+        return check_left_bol(s);
+    case CONSTRAINT_RIGHT_BOL:
+        return check_right_bol(s);
+    case CONSTRAINT_MOUFANG:
+        return check_left_bol(s) && check_right_bol(s);
+    default:
+        return check_assoc(s);
+    }
+}
+
+/* -- minimality rejection ---------------------------------------------------- */
+
+/* True if the relabeled table is lex-smaller on the determined prefix. */
+static int
+image_smaller(const Search *s, const unsigned char *perm, const unsigned char *inv)
+{
+    const unsigned char *T = s->T;
+    int n = s->n, i, j, row, src;
+    unsigned char pv, qsrc, qv;
+    for (i = 1; i < n; i++) {
+        row = i * n;
+        src = inv[i] * n;
+        for (j = 1; j < n; j++) {
+            pv = T[row + j];
+            if (pv == EMPTY)
+                return 0;
+            qsrc = T[src + inv[j]];
+            if (qsrc == EMPTY)
+                return 0;
+            qv = perm[qsrc];
+            if (qv != pv)
+                return qv < pv;
+        }
+    }
+    return 0;
+}
+
+static int
+min_reject(const Search *s, int rows_filled)
+{
+    int n = s->n, k, r;
+    const unsigned char *rec;
+    for (k = 1; k <= rows_filled; k++) {
+        rec = s->perms->recs + (size_t)s->perms->start[k] * 2 * n;
+        for (r = 0; r < s->perms->count[k]; r++, rec += 2 * n)
+            if (image_smaller(s, rec, rec + n))
+                return 1;
+    }
+    return 0;
+}
+
+/* -- leaves and depth-first fill --------------------------------------------- */
+
+/* Store a new reference to a table; -1 on error. */
+static int
+keep_table(Search *s, PyObject *tb)
+{
+    int rc;
+    if (tb == NULL)
+        return -1;
+    rc = PyList_Append(s->tables, tb);
+    Py_DECREF(tb);
+    return rc;
+}
+
+/* 0 to keep searching, 1 on find-stop, -1 on error. */
+static int
+leaf(Search *s)
+{
+    int n = s->n, hit;
+    PyObject *tb, *res;
+
+    if (s->prefix_only)
+        return keep_table(s, PyBytes_FromStringAndSize((const char *)&s->T[n + 1], n - 1));
+    s->leaves++;
+    if (s->debug_leaf && !identity_ok(s)) {
+        PyErr_SetString(PyExc_RuntimeError, "incremental identity check missed a violation");
+        return -1;
+    }
+    if (min_reject(s, n - 1))
+        return 0;
+    s->canonical++;
+    tb = PyBytes_FromStringAndSize((const char *)s->T, n * n);
+    if (tb == NULL)
+        return -1;
+    if (!s->find_mode)
+        return keep_table(s, tb);
+    res = PyObject_CallOneArg(s->leaf_cb, tb);
+    hit = res == NULL ? -1 : PyObject_IsTrue(res);
+    Py_XDECREF(res);
+    if (hit <= 0) {
+        Py_DECREF(tb);
+        return hit;
+    }
+    if (keep_table(s, tb) < 0)
+        return -1;
+    s->found = 1;
+    return 1;
+}
+
+/* 0 to keep searching, 1 on find-stop, 2 on budget/deadline stop, -1 on error. */
+static int
+dfs(Search *s, int idx)
+{
+    int n, r, c, pos, v, rc, boundary;
+    unsigned int avail, bit;
+
+    if (idx == s->ncells)
+        return leaf(s);
+    n = s->n;
+    r = 1 + idx / (n - 1);
+    c = 1 + idx % (n - 1);
+    pos = r * n + c;
+    avail = s->full_mask & ~(s->row_used[r] | s->col_used[c]);
+    s->latin_prunes += n - __builtin_popcount(avail);
+    boundary = c == n - 1 && r < n - 1 && (s->iso_rows < 0 || r <= s->iso_rows);
+    while (avail) {
+        bit = avail & (~avail + 1u);
+        avail ^= bit;
+        v = __builtin_ctz(bit);
+        s->nodes++;
+        if (s->nodes >= s->node_budget) {
+            s->exhausted = 0;
+            return 2;
+        }
+        if (s->nodes % 1024 == 0) {
+            /* Let Ctrl-C interrupt a long search. */
+            if (PyErr_CheckSignals() < 0)
+                return -1;
+            if (s->deadline != 0.0 && monotonic_now() > s->deadline) {
+                s->exhausted = 0;
+                return 2;
+            }
+        }
+        s->T[pos] = (unsigned char)v;
+        s->row_used[r] |= bit;
+        s->col_used[c] |= bit;
+        if (identity_ok(s)) {
+            if (boundary && min_reject(s, r)) {
+                s->iso_prunes++;
+            }
+            else {
+                rc = dfs(s, idx + 1);
+                if (rc)
+                    return rc;
+            }
+        }
+        else {
+            s->identity_prunes++;
+        }
+        s->T[pos] = EMPTY;
+        s->row_used[r] ^= bit;
+        s->col_used[c] ^= bit;
+    }
+    return 0;
+}
+
+/* Run the search from cell start and build the result dict. */
+static PyObject *
+search_run(Search *s, int start)
+{
+    int rc;
+    s->tables = PyList_New(0);
+    if (s->tables == NULL)
+        return NULL;
+    rc = dfs(s, start);
+    if (rc < 0) {
+        Py_DECREF(s->tables);
+        return NULL;
+    }
+    if (rc == 1)
+        s->exhausted = 0;
+    return Py_BuildValue(
+        "{s:N,s:N,s:L,s:L,s:L,s:L,s:L,s:L,s:N}",
+        "tables", s->tables,
+        "found", PyBool_FromLong(s->found),
+        "nodes", s->nodes,
+        "latin_prunes", s->latin_prunes,
+        "identity_prunes", s->identity_prunes,
+        "iso_prunes", s->iso_prunes,
+        "leaves", s->leaves,
+        "canonical", s->canonical,
+        "exhausted", PyBool_FromLong(s->exhausted));
+}
+
+/* -- module functions ---------------------------------------------------------- */
+
+PyDoc_STRVAR(run_doc,
+"run(n, constraint, prefix=None, find_mode=False, leaf_cb=None,\n"
+"    node_budget=10**8, deadline=0.0, iso_rows=-1, debug_leaf=False)\n"
+"--\n\n"
+"Search the (sub)tree of normalized order-n tables; see _kernel_py docs.");
+
+static PyObject *
+kernel_run(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "constraint", "prefix", "find_mode", "leaf_cb",
+                             "node_budget", "deadline", "iso_rows", "debug_leaf", NULL};
+    Search s = SEARCH_DEFAULTS;
+    int n, constraint, start;
+    PyObject *prefix = Py_None;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|OpOLdip:run", kwlist, &n, &constraint,
+                                     &prefix, &s.find_mode, &s.leaf_cb, &s.node_budget,
+                                     &s.deadline, &s.iso_rows, &s.debug_leaf))
+        return NULL;
+    start = search_init(&s, n, constraint, prefix, 0);
+    if (start < 0)
+        return NULL;
+    return search_run(&s, start);
+}
+
+PyDoc_STRVAR(collect_prefixes_doc,
+"collect_prefixes(n, constraint, node_budget=10**8, deadline=0.0, iso_rows=-1)\n"
+"--\n\n"
+"Enumerate valid completions of row 1, the per-subtree split points.");
+
+static PyObject *
+kernel_collect_prefixes(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "constraint", "node_budget", "deadline", "iso_rows", NULL};
+    Search s = SEARCH_DEFAULTS;
+    int n, constraint;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|Ldi:collect_prefixes", kwlist, &n,
+                                     &constraint, &s.node_budget, &s.deadline, &s.iso_rows))
+        return NULL;
+    if (search_init(&s, n, constraint, Py_None, 1) < 0)
+        return NULL;
+    return search_run(&s, 0);
+}
+
+PyDoc_STRVAR(canonical_form_bytes_doc,
+"canonical_form_bytes(flat, n)\n"
+"--\n\n"
+"Lex-least relabeling of a full normalized table, fixing element 0.");
+
+static PyObject *
+kernel_canonical_form_bytes(PyObject *module, PyObject *args)
+{
+    Py_buffer view;
+    int n, i, j, k, r, row, srow, diff;
+    const unsigned char *src, *rec, *perm, *inv;
+    unsigned char best[MAX_ORDER * MAX_ORDER];
+    const PermTable *pt;
+
+    if (!PyArg_ParseTuple(args, "y*i:canonical_form_bytes", &view, &n))
+        return NULL;
+    if (check_order(n) < 0)
+        goto fail;
+    if (view.len != (Py_ssize_t)n * n) {
+        PyErr_SetString(PyExc_ValueError, "flat table has wrong size");
+        goto fail;
+    }
+    src = view.buf;
+    for (i = 0; i < n * n; i++) {
+        if (src[i] >= n) {
+            PyErr_SetString(PyExc_ValueError, "flat table holds a value outside 0..n-1");
+            goto fail;
+        }
+    }
+    pt = perm_table(n);
+    if (pt == NULL)
+        goto fail;
+    memcpy(best, src, n * n);
+    for (k = 1; k < n; k++) {
+        rec = pt->recs + (size_t)pt->start[k] * 2 * n;
+        for (r = 0; r < pt->count[k]; r++, rec += 2 * n) {
+            perm = rec;
+            inv = rec + n;
+            diff = 0;
+            for (i = 1; i < n && !diff; i++) {
+                row = i * n;
+                srow = inv[i] * n;
+                for (j = 1; j < n && !diff; j++)
+                    diff = (int)perm[src[srow + inv[j]]] - (int)best[row + j];
+            }
+            if (diff < 0) {
+                for (i = 0; i < n; i++) {
+                    row = i * n;
+                    srow = inv[i] * n;
+                    for (j = 0; j < n; j++)
+                        best[row + j] = perm[src[srow + inv[j]]];
+                }
+            }
+        }
+    }
+    PyBuffer_Release(&view);
+    return PyBytes_FromStringAndSize((const char *)best, n * n);
+
+fail:
+    PyBuffer_Release(&view);
+    return NULL;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"run", (PyCFunction)(void (*)(void))kernel_run, METH_VARARGS | METH_KEYWORDS, run_doc},
+    {"collect_prefixes", (PyCFunction)(void (*)(void))kernel_collect_prefixes,
+     METH_VARARGS | METH_KEYWORDS, collect_prefixes_doc},
+    {"canonical_form_bytes", kernel_canonical_form_bytes, METH_VARARGS,
+     canonical_form_bytes_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    "_kernel_c",
+    "Compiled backtracking kernel for normalized Cayley-table search.",
+    -1,
+    kernel_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel_c(void)
+{
+    PyObject *m = PyModule_Create(&kernel_module);
+    if (m == NULL)
+        return NULL;
+    if (PyModule_AddStringConstant(m, "BACKEND", "c") < 0
+        || PyModule_AddIntConstant(m, "EMPTY", EMPTY) < 0
+        || PyModule_AddIntConstant(m, "CONSTRAINT_NONE", CONSTRAINT_NONE) < 0
+        || PyModule_AddIntConstant(m, "CONSTRAINT_LEFT_BOL", CONSTRAINT_LEFT_BOL) < 0
+        || PyModule_AddIntConstant(m, "CONSTRAINT_RIGHT_BOL", CONSTRAINT_RIGHT_BOL) < 0
+        || PyModule_AddIntConstant(m, "CONSTRAINT_MOUFANG", CONSTRAINT_MOUFANG) < 0
+        || PyModule_AddIntConstant(m, "CONSTRAINT_ASSOC", CONSTRAINT_ASSOC) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -1,7 +1,8 @@
 """Pure-Python backtracking kernel for normalized Cayley-table search.
 
-This is the fallback twin of the compiled kernel in ``_kernel_cy.pyx``;
-the two must stay in lockstep and produce identical output.  Tables are
+This is the fallback twin of the C kernel in ``_kernel_c.c`` and the
+reference the C kernel is parity-tested against; the two must stay in
+lockstep and produce identical output, counters included.  Tables are
 flat row-major ``bytearray`` buffers with 255 marking an empty cell.
 Row 0 and column 0 are pinned to the identity maps up front; the
 remaining cells are filled row-major with candidate values tried in

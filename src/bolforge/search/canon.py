@@ -18,6 +18,8 @@ from ..errors import OrderTooLargeForExact
 from ..table import LoopTable
 from . import get_kernel
 
+#: Largest order with exact canonical labeling, hence exact isomorph
+#: rejection and exact search.
 EXACT_ORDER_LIMIT = 10
 
 

@@ -35,6 +35,7 @@ from ..props import (
 )
 from ..table import LoopTable
 from . import get_kernel
+from .canon import EXACT_ORDER_LIMIT
 
 CONSTRAINT_IDS = {
     "none": 0,
@@ -43,9 +44,6 @@ CONSTRAINT_IDS = {
     "moufang": 3,
     "associative": 4,
 }
-
-#: Largest order with exact isomorph rejection (and thus exact search).
-EXACT_ORDER_LIMIT = 10
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_WALL_BUDGET = 600.0
@@ -124,6 +122,7 @@ class SearchResult:
     stats: SearchStats
     exhausted: bool
     found: bool
+    backend: str  # BACKEND of the kernel module that ran the search
 
 
 # -- find-first targets ------------------------------------------------------
@@ -270,14 +269,18 @@ def _run_search(spec: SearchSpec) -> SearchResult:
 
     if find_mode:
         if found_table is None:
-            return SearchResult(spec, (), (), stats, exhausted, found=False)
+            return SearchResult(
+                spec, (), (), stats, exhausted, found=False, backend=kernel.BACKEND
+            )
         table = LoopTable.from_flat(found_table, n)
         _reverify(table, spec, kernel)
         data = TARGET_CHECKS[spec.target](table)
         if data is None:
             raise SearchSelfCheckError("found table does not satisfy the target predicate")
         witness = SearchWitness(table, spec.target, data)
-        return SearchResult(spec, (table,), (witness,), stats, exhausted=False, found=True)
+        return SearchResult(
+            spec, (table,), (witness,), stats, exhausted=False, found=True, backend=kernel.BACKEND
+        )
 
     flats = [flat for out in parts[1:] for flat in out["tables"]]
     flats.sort()
@@ -288,7 +291,9 @@ def _run_search(spec: SearchSpec) -> SearchResult:
         tables.append(table)
     if spec.nonassociative_only:
         tables = [t for t in tables if not is_associative(t).holds]
-    return SearchResult(spec, tuple(tables), (), stats, exhausted, found=False)
+    return SearchResult(
+        spec, tuple(tables), (), stats, exhausted, found=False, backend=kernel.BACKEND
+    )
 
 
 def enumerate_loops(spec: SearchSpec) -> SearchResult:

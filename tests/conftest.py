@@ -3,11 +3,16 @@ from hypothesis import HealthCheck, settings
 
 from bolforge import SearchSpec, construct_bruck_from_group, enumerate_loops
 from bolforge.catalog import cyclic, frobenius_21, klein_four, symmetric_3
+from bolforge.search import get_kernel
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+
+def pytest_report_header(config):
+    return f"bolforge kernel: {get_kernel().BACKEND}"
 
 
 @pytest.fixture(scope="session")

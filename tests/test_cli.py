@@ -6,6 +6,7 @@ from bolforge import parse_loop
 from bolforge.catalog import cyclic, frobenius_21, symmetric_3
 from bolforge.claims import ClaimVerdict
 from bolforge.cli import main
+from bolforge.search import get_kernel
 
 from frozen import LOOP5_FIRST
 
@@ -132,6 +133,7 @@ class TestEnumerate:
         assert len(files) == 6
         stats = json.loads((out / "stats.json").read_text())
         assert stats["exhausted"] is True
+        assert stats["backend"] == get_kernel().BACKEND
         assert set(stats["representatives"]) == files
         for p in out.glob("*.loop"):
             parse_loop(p.read_text())  # all outputs are valid loop files
@@ -176,6 +178,27 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--order", "5", "--class", "nope", "--out", str(tmp_path)])
         assert err.value.code == 2
+
+    def test_used_out_dir_refused_and_unchanged(self, tmp_path, capsys):
+        # a second run into the same directory used to leave 9 files, with
+        # stats.json listing only the second run's 2 representatives
+        out = tmp_path / "mixed"
+        assert main(["enumerate", "--order", "5", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["enumerate", "--order", "4", "--out", str(out)]) == 2
+        assert "already holds search output" in capsys.readouterr().err
+        assert main(
+            ["find", "--order", "5", "--find", "commutant-not-subloop", "--out", str(out)]
+        ) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_dir_without_search_output_accepted(self, tmp_path):
+        out = tmp_path / "other"
+        out.mkdir()
+        (out / "notes.txt").write_text("not search output\n")
+        assert main(["enumerate", "--order", "4", "--out", str(out)]) == 0
+        assert len(list(out.glob("*.loop"))) == 2
 
     def test_seed_flag_accepted_and_inert(self, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"

@@ -35,7 +35,11 @@ from frozen import (
 )
 from naive_ref import iso_classes, naive_normalized_tables, relabel_rows
 
-HAS_CYTHON = get_kernel().BACKEND == "cython"
+try:
+    get_kernel("c")
+    HAS_C = True
+except ImportError:
+    HAS_C = False
 
 
 class TestOracleEquivalence:
@@ -216,6 +220,11 @@ class TestDeterminismAndBudgets:
         assert [t.rows for t in a.representatives] == [t.rows for t in b.representatives]
         assert a.stats == b.stats
 
+    def test_result_names_the_backend_that_ran(self):
+        result = enumerate_loops(SearchSpec(order=4, backend="python"))
+        assert result.backend == "python"
+        assert enumerate_loops(SearchSpec(order=4)).backend == get_kernel().BACKEND
+
     def test_order_too_large(self):
         with pytest.raises(OrderTooLargeForExact):
             enumerate_loops(SearchSpec(order=11))
@@ -277,17 +286,6 @@ class TestFindFirst:
         )
         assert a.witnesses[0].table.rows == b.witnesses[0].table.rows
 
-    def test_order8_right_bol_commutant_hunt_exhausts_empty(self):
-        # derived: all 11 right Bol classes of order 8 have subloop commutants
-        result = find_first(
-            SearchSpec(
-                order=8, constraint="right-bol", mode="find-first",
-                target="commutant-not-subloop",
-            )
-        )
-        assert not result.found
-        assert result.exhausted
-
     @pytest.mark.parametrize("n", range(1, 8))
     def test_conjecture_witness_absent_small_orders(self, n):
         result = find_first(
@@ -298,30 +296,68 @@ class TestFindFirst:
         assert result.exhausted
 
 
+@pytest.mark.skipif(
+    not HAS_C, reason="compiled kernel not built; run `python setup.py build_ext --inplace`"
+)
 class TestKernelParity:
-    @pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel unavailable")
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("constraint", [0, 1, 2, 3, 4])
     def test_run_outputs_identical(self, n, constraint):
-        kc = get_kernel("cython")
+        kc = get_kernel("c")
         kp = get_kernel("python")
         assert kc.run(n, constraint) == kp.run(n, constraint)
         assert kc.collect_prefixes(n, constraint) == kp.collect_prefixes(n, constraint)
 
-    @pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel unavailable")
+    def test_budgets_prefixes_and_find_mode_identical(self):
+        kc = get_kernel("c")
+        kp = get_kernel("python")
+        for budget in (7, 300):
+            assert kc.run(5, 0, node_budget=budget) == kp.run(5, 0, node_budget=budget)
+        assert kc.run(5, 1, iso_rows=1, debug_leaf=True) == kp.run(5, 1, iso_rows=1, debug_leaf=True)
+        for prefix in kp.collect_prefixes(6, 2)["tables"]:
+            assert kc.run(6, 2, prefix=prefix) == kp.run(6, 2, prefix=prefix)
+
+        def fifth_leaf_hits():
+            seen = []
+            return lambda tb: seen.append(tb) or len(seen) == 5
+
+        c_out, p_out = (k.run(5, 0, find_mode=True, leaf_cb=fifth_leaf_hits()) for k in (kc, kp))
+        assert c_out == p_out
+        assert c_out["found"] and not c_out["exhausted"] and len(c_out["tables"]) == 1
+
+    def test_leaf_cb_errors_propagate_and_bad_input_is_refused(self):
+        kc = get_kernel("c")
+
+        def broken(tb):
+            raise KeyError("leaf")
+
+        with pytest.raises(KeyError):
+            kc.run(4, 0, find_mode=True, leaf_cb=broken)
+        with pytest.raises(ValueError, match=r"kernel supports orders 1\.\.10, got 11"):
+            kc.run(11, 0)
+        with pytest.raises(ValueError, match=r"kernel supports orders 1\.\.10, got 11"):
+            kc.canonical_form_bytes(bytes(121), 11)
+        # out-of-range values would index past the table in C
+        with pytest.raises(ValueError, match="out of range"):
+            kc.run(3, 0, prefix=b"\x05")
+        with pytest.raises(ValueError, match="exceeds"):
+            kc.run(3, 0, prefix=bytes(5))
+        with pytest.raises(ValueError, match="outside"):
+            kc.canonical_form_bytes(bytes([0, 1, 1, 9]), 2)
+
     def test_canonical_bytes_identical(self):
-        kc = get_kernel("cython")
+        kc = get_kernel("c")
         kp = get_kernel("python")
         for rows in naive_normalized_tables(5):
             flat = bytes(v for row in rows for v in row)
             assert kc.canonical_form_bytes(flat, 5) == kp.canonical_form_bytes(flat, 5)
 
-    @pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel unavailable")
     def test_engine_results_identical_across_backends(self):
-        a = enumerate_loops(SearchSpec(order=6, constraint="left-bol", backend="cython"))
+        a = enumerate_loops(SearchSpec(order=6, constraint="left-bol", backend="c"))
         b = enumerate_loops(SearchSpec(order=6, constraint="left-bol", backend="python"))
         assert [t.rows for t in a.representatives] == [t.rows for t in b.representatives]
         assert a.stats == b.stats
+        assert (a.backend, b.backend) == ("c", "python")
 
 
 class TestBruckConstruction:
