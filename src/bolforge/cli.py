@@ -127,8 +127,15 @@ def cmd_verify(args) -> int:
 
 
 def _refuse_used_out_dir(out_dir: str) -> None:
-    """Keep runs from mixing: an --out directory must hold no search output yet."""
+    """Keep runs from mixing: an --out directory must hold no search output yet.
+
+    Also refuse, before any search time is spent, an --out path that is
+    or lies under something other than a directory.
+    """
     out = Path(out_dir)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise LoopError(f"{blocker} is not a directory; --out needs a directory")
     if (out / "stats.json").exists() or any(out.glob("*.loop")):
         raise LoopError(f"{out_dir} already holds search output; choose an empty directory")
 

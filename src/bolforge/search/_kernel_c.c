@@ -5,6 +5,11 @@
  * results, every counter included, for equal arguments.  See the Python
  * module for the algorithm.  Tables are flat row-major byte arrays with
  * EMPTY marking an unfilled cell; row 0 and column 0 hold the identity.
+ *
+ * Every write to the table T also goes to its transpose Tt, the table of
+ * the opposite loop.  A loop is right Bol exactly when its opposite is
+ * left Bol, so the one left Bol scan checks Moufang (left and right Bol)
+ * as check_left_bol(T) && check_left_bol(Tt).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,12 +23,12 @@
 /* Bound of the fixed-size arrays below; callers limit orders themselves. */
 #define MAX_ORDER 10
 
+/* Equal to the _kernel_py constants; any other id is refused. */
 enum {
-    CONSTRAINT_NONE,
-    CONSTRAINT_LEFT_BOL,
-    CONSTRAINT_RIGHT_BOL,
-    CONSTRAINT_MOUFANG,
-    CONSTRAINT_ASSOC,
+    CONSTRAINT_NONE = 0,
+    CONSTRAINT_LEFT_BOL = 1,
+    CONSTRAINT_MOUFANG = 3,
+    CONSTRAINT_ASSOC = 4,
 };
 
 /* -- identity-fixing relabelings ------------------------------------------ */
@@ -112,7 +117,7 @@ typedef struct {
     long long node_budget, nodes, latin_prunes, identity_prunes;
     long long iso_prunes, leaves, canonical;
     double deadline;
-    unsigned char T[MAX_ORDER * MAX_ORDER];
+    unsigned char T[MAX_ORDER * MAX_ORDER], Tt[MAX_ORDER * MAX_ORDER]; /* Tt: transpose */
     unsigned int row_used[MAX_ORDER], col_used[MAX_ORDER], full_mask;
     const PermTable *perms;
     PyObject *leaf_cb; /* borrowed */
@@ -140,6 +145,20 @@ check_order(int n)
     return 0;
 }
 
+static int
+check_constraint(int constraint)
+{
+    switch (constraint) {
+    case CONSTRAINT_NONE:
+    case CONSTRAINT_LEFT_BOL:
+    case CONSTRAINT_MOUFANG:
+    case CONSTRAINT_ASSOC:
+        return 0;
+    }
+    PyErr_Format(PyExc_ValueError, "unknown constraint id %d", constraint);
+    return -1;
+}
+
 /* Set up s, which starts from SEARCH_DEFAULTS plus the parsed arguments,
  * with the prefix cells filled in; returns the number of prefix cells,
  * where the search starts, or -1 on error. */
@@ -151,7 +170,7 @@ search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
     PyObject *seq;
     Py_ssize_t len;
 
-    if (check_order(n) < 0)
+    if (check_order(n) < 0 || check_constraint(constraint) < 0)
         return -1;
     s->n = n;
     s->constraint = constraint;
@@ -161,6 +180,7 @@ search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
         s->T[i] = (unsigned char)i;
         s->T[i * n] = (unsigned char)i;
     }
+    memcpy(s->Tt, s->T, sizeof s->T);
     s->full_mask = (1u << n) - 1;
     s->row_used[0] = s->col_used[0] = s->full_mask;
     for (i = 1; i < n; i++)
@@ -196,7 +216,7 @@ search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
         }
         r = 1 + i / (n - 1);
         c = 1 + i % (n - 1);
-        s->T[r * n + c] = (unsigned char)v;
+        s->T[r * n + c] = s->Tt[c * n + r] = (unsigned char)v;
         s->row_used[r] |= 1u << v;
         s->col_used[c] |= 1u << v;
     }
@@ -206,12 +226,12 @@ search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
 
 /* -- identity instance scans ------------------------------------------------ */
 
-/* x(y * xz) = (x * yx)z; instances with x = 0 or z = 0 hold trivially. */
+/* x(y * xz) = (x * yx)z on table T; instances with x = 0 or z = 0 hold
+ * trivially.  On Tt this is the right Bol identity ((zx)y)x = z((xy)x) of T. */
 static int
-check_left_bol(const Search *s)
+check_left_bol(const unsigned char *T, int n)
 {
-    const unsigned char *T = s->T;
-    int n = s->n, x, y, z, xn, yn;
+    int x, y, z, xn, yn;
     unsigned char t1, u1, t2, u2, lhs, rhs;
     for (x = 1; x < n; x++) {
         xn = x * n;
@@ -234,44 +254,6 @@ check_left_bol(const Search *s)
                 if (lhs == EMPTY)
                     continue;
                 rhs = T[u2 * n + z];
-                if (rhs == EMPTY)
-                    continue;
-                if (lhs != rhs)
-                    return 0;
-            }
-        }
-    }
-    return 1;
-}
-
-/* ((zx)y)x = z((xy)x); instances with x = 0 or z = 0 hold trivially. */
-static int
-check_right_bol(const Search *s)
-{
-    const unsigned char *T = s->T;
-    int n = s->n, x, y, z, xn, zn;
-    unsigned char t1, u1, t2, u2, lhs, rhs;
-    for (x = 1; x < n; x++) {
-        xn = x * n;
-        for (y = 0; y < n; y++) {
-            u1 = T[xn + y];
-            if (u1 == EMPTY)
-                continue;
-            u2 = T[u1 * n + x];
-            if (u2 == EMPTY)
-                continue;
-            for (z = 1; z < n; z++) {
-                zn = z * n;
-                t1 = T[zn + x];
-                if (t1 == EMPTY)
-                    continue;
-                t2 = T[t1 * n + y];
-                if (t2 == EMPTY)
-                    continue;
-                lhs = T[t2 * n + x];
-                if (lhs == EMPTY)
-                    continue;
-                rhs = T[zn + u2];
                 if (rhs == EMPTY)
                     continue;
                 if (lhs != rhs)
@@ -322,11 +304,9 @@ identity_ok(const Search *s)
     case CONSTRAINT_NONE:
         return 1;
     case CONSTRAINT_LEFT_BOL:
-        return check_left_bol(s);
-    case CONSTRAINT_RIGHT_BOL:
-        return check_right_bol(s);
+        return check_left_bol(s->T, s->n);
     case CONSTRAINT_MOUFANG:
-        return check_left_bol(s) && check_right_bol(s);
+        return check_left_bol(s->T, s->n) && check_left_bol(s->Tt, s->n);
     default:
         return check_assoc(s);
     }
@@ -426,7 +406,7 @@ leaf(Search *s)
 static int
 dfs(Search *s, int idx)
 {
-    int n, r, c, pos, v, rc, boundary;
+    int n, r, c, pos, tpos, v, rc, boundary;
     unsigned int avail, bit;
 
     if (idx == s->ncells)
@@ -435,6 +415,7 @@ dfs(Search *s, int idx)
     r = 1 + idx / (n - 1);
     c = 1 + idx % (n - 1);
     pos = r * n + c;
+    tpos = c * n + r;
     avail = s->full_mask & ~(s->row_used[r] | s->col_used[c]);
     s->latin_prunes += n - __builtin_popcount(avail);
     boundary = c == n - 1 && r < n - 1 && (s->iso_rows < 0 || r <= s->iso_rows);
@@ -456,7 +437,7 @@ dfs(Search *s, int idx)
                 return 2;
             }
         }
-        s->T[pos] = (unsigned char)v;
+        s->T[pos] = s->Tt[tpos] = (unsigned char)v;
         s->row_used[r] |= bit;
         s->col_used[c] |= bit;
         if (identity_ok(s)) {
@@ -472,7 +453,7 @@ dfs(Search *s, int idx)
         else {
             s->identity_prunes++;
         }
-        s->T[pos] = EMPTY;
+        s->T[pos] = s->Tt[tpos] = EMPTY;
         s->row_used[r] ^= bit;
         s->col_used[c] ^= bit;
     }
@@ -644,7 +625,6 @@ PyInit__kernel_c(void)
         || PyModule_AddIntConstant(m, "EMPTY", EMPTY) < 0
         || PyModule_AddIntConstant(m, "CONSTRAINT_NONE", CONSTRAINT_NONE) < 0
         || PyModule_AddIntConstant(m, "CONSTRAINT_LEFT_BOL", CONSTRAINT_LEFT_BOL) < 0
-        || PyModule_AddIntConstant(m, "CONSTRAINT_RIGHT_BOL", CONSTRAINT_RIGHT_BOL) < 0
         || PyModule_AddIntConstant(m, "CONSTRAINT_MOUFANG", CONSTRAINT_MOUFANG) < 0
         || PyModule_AddIntConstant(m, "CONSTRAINT_ASSOC", CONSTRAINT_ASSOC) < 0) {
         Py_DECREF(m);

@@ -15,6 +15,12 @@ Pruning:
   product chain is fully determined is evaluated; any violation cuts
   the branch.  An instance that extends to a valid table can never
   evaluate to a violation on a partial table, so the pruning is safe.
+  Every write to the table ``T`` also goes to its transpose ``Tt``, the
+  table of the opposite loop.  A loop is right Bol exactly when its
+  opposite is left Bol, so the one left Bol scan checks Moufang (left
+  and right Bol) as a scan of ``T`` and a scan of ``Tt``.  Right Bol has
+  no constraint id: the search engine runs it as a left Bol search and
+  mirrors the output.
 * Minimality - at row boundaries (and always at leaves) the partial
   table is compared against its images under identity-fixing
   relabelings; if some image is lexicographically smaller on the
@@ -36,9 +42,9 @@ EMPTY = 255
 
 CONSTRAINT_NONE = 0
 CONSTRAINT_LEFT_BOL = 1
-CONSTRAINT_RIGHT_BOL = 2
 CONSTRAINT_MOUFANG = 3
 CONSTRAINT_ASSOC = 4
+_CONSTRAINTS = (CONSTRAINT_NONE, CONSTRAINT_LEFT_BOL, CONSTRAINT_MOUFANG, CONSTRAINT_ASSOC)
 
 _PERM_CACHE: dict[int, list[list[tuple[tuple[int, ...], tuple[int, ...]]]]] = {}
 
@@ -81,6 +87,8 @@ class _Search:
         debug_leaf: bool = False,
         prefix_only: bool = False,
     ):
+        if constraint not in _CONSTRAINTS:
+            raise ValueError(f"unknown constraint id {constraint}")
         self.n = n
         self.constraint = constraint
         self.find_mode = find_mode
@@ -95,6 +103,7 @@ class _Search:
         for j in range(n):
             self.T[j] = j
             self.T[j * n] = j
+        self.Tt = bytearray(self.T)  # transpose of T, written alongside it
         full = (1 << n) - 1
         self.full_mask = full
         self.row_used = [full] + [1 << i for i in range(1, n)]
@@ -106,7 +115,7 @@ class _Search:
         if prefix is not None:
             for i, v in enumerate(prefix):
                 r, c = self.cells[i]
-                self.T[r * n + c] = v
+                self.T[r * n + c] = self.Tt[c * n + r] = v
                 self.row_used[r] |= 1 << v
                 self.col_used[c] |= 1 << v
             self.start_idx = len(prefix)
@@ -124,9 +133,9 @@ class _Search:
 
     # -- identity instance scans ------------------------------------------
 
-    def _check_left_bol(self) -> bool:
-        # x(y * xz) = (x * yx)z; instances with x = 0 or z = 0 hold trivially.
-        T = self.T
+    def _check_left_bol(self, T: bytearray) -> bool:
+        # x(y * xz) = (x * yx)z on T; instances with x = 0 or z = 0 hold
+        # trivially.  On Tt this is the right Bol identity ((zx)y)x = z((xy)x).
         n = self.n
         for x in range(1, n):
             xn = x * n
@@ -149,37 +158,6 @@ class _Search:
                     if lhs == EMPTY:
                         continue
                     rhs = T[u2 * n + z]
-                    if rhs == EMPTY:
-                        continue
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def _check_right_bol(self) -> bool:
-        # ((zx)y)x = z((xy)x); instances with x = 0 or z = 0 hold trivially.
-        T = self.T
-        n = self.n
-        for x in range(1, n):
-            xn = x * n
-            for y in range(n):
-                u1 = T[xn + y]
-                if u1 == EMPTY:
-                    continue
-                u2 = T[u1 * n + x]
-                if u2 == EMPTY:
-                    continue
-                for z in range(1, n):
-                    zn = z * n
-                    t1 = T[zn + x]
-                    if t1 == EMPTY:
-                        continue
-                    t2 = T[t1 * n + y]
-                    if t2 == EMPTY:
-                        continue
-                    lhs = T[t2 * n + x]
-                    if lhs == EMPTY:
-                        continue
-                    rhs = T[zn + u2]
                     if rhs == EMPTY:
                         continue
                     if lhs != rhs:
@@ -217,11 +195,9 @@ class _Search:
         if c == CONSTRAINT_NONE:
             return True
         if c == CONSTRAINT_LEFT_BOL:
-            return self._check_left_bol()
-        if c == CONSTRAINT_RIGHT_BOL:
-            return self._check_right_bol()
+            return self._check_left_bol(self.T)
         if c == CONSTRAINT_MOUFANG:
-            return self._check_left_bol() and self._check_right_bol()
+            return self._check_left_bol(self.T) and self._check_left_bol(self.Tt)
         return self._check_assoc()
 
     # -- minimality rejection -----------------------------------------------
@@ -284,8 +260,10 @@ class _Search:
             return self._leaf()
         n = self.n
         T = self.T
+        Tt = self.Tt
         r, c = self.cells[idx]
         pos = r * n + c
+        tpos = c * n + r
         row_used = self.row_used
         col_used = self.col_used
         avail = self.full_mask & ~(row_used[r] | col_used[c])
@@ -302,7 +280,7 @@ class _Search:
             if self.deadline and self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
                 self.exhausted = False
                 return 2
-            T[pos] = v
+            T[pos] = Tt[tpos] = v
             row_used[r] |= bit
             col_used[c] |= bit
             if self._identity_ok():
@@ -314,7 +292,7 @@ class _Search:
                         return rc
             else:
                 self.identity_prunes += 1
-            T[pos] = EMPTY
+            T[pos] = Tt[tpos] = EMPTY
             row_used[r] ^= bit
             col_used[c] ^= bit
         return 0

@@ -12,12 +12,17 @@ row-1 prefix and candidate values ascend, so the representative list
 and any witness are identical for every worker count.  The node budget
 applies to each subtree independently (and to the prefix scan), which
 keeps budget-limited runs reproducible across worker counts as well.
+
+Right Bol is searched as the mirror of left Bol: a loop is right Bol
+exactly when its opposite loop, whose table is the transpose, is left
+Bol.  A right Bol search runs the kernel's left Bol search, replaces
+each emitted table by the canonical form of its transpose, and sorts;
+node counts are those of the left Bol search.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -34,15 +39,17 @@ from ..props import (
     square_roots,
 )
 from ..table import LoopTable
-from . import get_kernel
+from . import _kernel_py, get_kernel
 from .canon import EXACT_ORDER_LIMIT
 
+#: Kernel constraint id of each class; right Bol runs the left Bol search
+#: and mirrors its output.
 CONSTRAINT_IDS = {
-    "none": 0,
-    "left-bol": 1,
-    "right-bol": 2,
-    "moufang": 3,
-    "associative": 4,
+    "none": _kernel_py.CONSTRAINT_NONE,
+    "left-bol": _kernel_py.CONSTRAINT_LEFT_BOL,
+    "right-bol": _kernel_py.CONSTRAINT_LEFT_BOL,
+    "moufang": _kernel_py.CONSTRAINT_MOUFANG,
+    "associative": _kernel_py.CONSTRAINT_ASSOC,
 }
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -212,6 +219,11 @@ def _merge_stats(parts: list[dict], subtrees: int) -> SearchStats:
     )
 
 
+def _mirror(flat: bytes, n: int, kernel) -> bytes:
+    """Canonical form of the opposite loop, whose table is the transpose."""
+    return kernel.canonical_form_bytes(b"".join(flat[i::n] for i in range(n)), n)
+
+
 def _reverify(table: LoopTable, spec: SearchSpec, kernel) -> None:
     """Independent check of an emitted representative (bug trap)."""
     if spec.constraint != "none":
@@ -233,6 +245,7 @@ def _run_search(spec: SearchSpec) -> SearchResult:
         )
     kernel = get_kernel(spec.backend)
     cid = CONSTRAINT_IDS[spec.constraint]
+    mirror = spec.constraint == "right-bol"
     find_mode = spec.mode == "find-first"
     deadline = time.monotonic() + spec.wall_budget_s
 
@@ -249,6 +262,8 @@ def _run_search(spec: SearchSpec) -> SearchResult:
 
     found_table: bytes | None = None
     if spec.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(spec.jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_subtree_task, tasks))
@@ -272,6 +287,8 @@ def _run_search(spec: SearchSpec) -> SearchResult:
             return SearchResult(
                 spec, (), (), stats, exhausted, found=False, backend=kernel.BACKEND
             )
+        if mirror:
+            found_table = _mirror(found_table, n, kernel)
         table = LoopTable.from_flat(found_table, n)
         _reverify(table, spec, kernel)
         data = TARGET_CHECKS[spec.target](table)
@@ -283,6 +300,8 @@ def _run_search(spec: SearchSpec) -> SearchResult:
         )
 
     flats = [flat for out in parts[1:] for flat in out["tables"]]
+    if mirror:
+        flats = [_mirror(flat, n, kernel) for flat in flats]
     flats.sort()
     tables = []
     for flat in flats:
@@ -304,7 +323,13 @@ def enumerate_loops(spec: SearchSpec) -> SearchResult:
 
 
 def find_first(spec: SearchSpec) -> SearchResult:
-    """First (in canonical order) loop satisfying the constraint and target."""
+    """First (in canonical order) loop satisfying the constraint and target.
+
+    Both targets hold on a loop exactly when they hold on its opposite,
+    so a right Bol hunt runs the left Bol hunt and returns the mirror of
+    the first left Bol witness in left Bol canonical order.  That need
+    not be the right Bol witness that comes first in canonical order.
+    """
     if spec.mode != "find-first":
         raise ValueError("find_first requires a find-first SearchSpec")
     return _run_search(spec)

@@ -230,9 +230,7 @@ class LoopTable:
 
     def transpose(self) -> "LoopTable":
         """The mirror loop with the opposite product a*b := b*a."""
-        n = len(self.rows)
-        rows = tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n))
-        return LoopTable(rows, self.identity)
+        return LoopTable(tuple(zip(*self.rows)), self.identity)
 
     def restricted(self, members: Iterable[int]) -> "LoopTable":
         """Subloop table on a product-closed member set, reindexed to 0..k-1."""

@@ -30,6 +30,11 @@ def left_bol_upto_8():
 
 
 @pytest.fixture(scope="session")
+def left_bol_9():
+    return enumerate_loops(SearchSpec(order=9, constraint="left-bol")).representatives
+
+
+@pytest.fixture(scope="session")
 def right_bol_8():
     return enumerate_loops(SearchSpec(order=8, constraint="right-bol")).representatives
 

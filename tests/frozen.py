@@ -20,6 +20,11 @@ Derivations (re-checked by the tests that use them):
   classifies the Bol loops of order 8 as 5 groups and 6 nonassociative
   loops.  Acceptance criterion 4 relies on this count: its exhaustive
   order-8 right Bol hunt is cross-checked against all 11 classes.
+* OUTPUT_PINS - (class count, SHA-256 of the concatenated flat tables
+  of the representatives in sorted order) per (class, order).  Computed
+  with the kernel's own right Bol scan, before right Bol became the
+  mirror of the left Bol search and Moufang a left Bol scan of the table
+  and of its transpose; the pins keep both changes byte-identical.
 """
 
 LOOP5_FIRST = "5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n"
@@ -37,3 +42,9 @@ LEFT_BOL_8_NONASSOC = 6
 MOUFANG_8_COUNT = 5
 
 LEFT_BOL_9_COUNT = 2
+
+OUTPUT_PINS = {
+    ("right-bol", 8): (11, "179c6dbf3a72dcab8134f4761a8279d5a3f4aedab93110904be4dea60bba3c8f"),
+    ("right-bol", 9): (2, "657f8af866c11f8041322e34863bc011024d965b55793df1a036e113c65fd292"),
+    ("moufang", 8): (5, "5178674b60d731981c364ba9079386b123440a64e3b4d6cf7fe97bc8283d124e"),
+}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -200,6 +203,18 @@ class TestEnumerate:
         assert main(["enumerate", "--order", "4", "--out", str(out)]) == 0
         assert len(list(out.glob("*.loop"))) == 2
 
+    def test_out_path_through_a_file_refused_before_search(self, tmp_path, capsys):
+        # used to die with FileExistsError (exit 1) after the whole search
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        for out in (afile, afile / "sub"):
+            assert main(["enumerate", "--order", "3", "--out", str(out)]) == 2
+            assert main(
+                ["find", "--order", "5", "--find", "commutant-not-subloop", "--out", str(out)]
+            ) == 2
+            assert "error: " in capsys.readouterr().err
+        assert afile.read_text() == "not a directory\n"
+
     def test_seed_flag_accepted_and_inert(self, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"
         assert main(["--seed", "7", "enumerate", "--order", "4", "--out", str(a)]) == 0
@@ -267,3 +282,13 @@ class TestConstructAndCanon:
         out = tmp_path / "canon.loop"
         assert main(["canon", str(z3_file), "--out", str(out)]) == 0
         assert parse_loop(out.read_text()) == cyclic(3)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool is only needed for --jobs > 1; importing it costs every CLI op
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bolforge.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

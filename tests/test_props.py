@@ -29,7 +29,7 @@ from bolforge import (
     square_roots,
 )
 from bolforge.catalog import cyclic, klein_four, symmetric_3
-from bolforge.props import PROPERTY_ORDER
+from bolforge.props import MAX_WITNESSES, PROPERTY_ORDER
 
 from frozen import LOOP5_FIRST, LOOP6_NON_PA
 from naive_ref import all_bracketings
@@ -79,6 +79,21 @@ class TestBolIdentities:
         for t in only_left:
             assert is_right_bol(t.transpose()).holds
             assert not is_moufang(t).holds
+
+    def test_right_bol_is_left_bol_of_transpose(self, all_loops_upto_6, left_bol_upto_8):
+        for t in all_loops_upto_6[6] + left_bol_upto_8[8]:
+            verdict = is_right_bol(t)
+            assert verdict == is_left_bol(t.transpose())
+            # brute-force oracle: ((zx)y)x = z((xy)x), violations in lexicographic order
+            violations = [
+                (x, y, z)
+                for x in t.elements
+                for y in t.elements
+                for z in t.elements
+                if t.mul(t.mul(t.mul(z, x), y), x) != t.mul(z, t.mul(t.mul(x, y), x))
+            ]
+            assert verdict.holds == (not violations)
+            assert list(verdict.witnesses) == violations[:MAX_WITNESSES]
 
     def test_bol_witness_reevaluates(self, loop5):
         x, y, z = is_left_bol(loop5).witnesses[0]

@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -32,6 +34,7 @@ from frozen import (
     LOOP5_FIRST,
     LOOP_COUNTS,
     MOUFANG_8_COUNT,
+    OUTPUT_PINS,
 )
 from naive_ref import iso_classes, naive_normalized_tables, relabel_rows
 
@@ -40,6 +43,19 @@ try:
     HAS_C = True
 except ImportError:
     HAS_C = False
+
+
+def constraint_ids(kernel) -> dict[str, int]:
+    return {k: v for k, v in vars(kernel).items() if k.startswith("CONSTRAINT_")}
+
+
+KERNEL_CONSTRAINT_IDS = sorted(constraint_ids(get_kernel("python")).values())
+
+
+def output_pin(reps) -> tuple[int, str]:
+    """Class count and SHA-256 of the sorted representative tables."""
+    flats = sorted(t.flat_bytes() for t in reps)
+    return len(flats), hashlib.sha256(b"".join(flats)).hexdigest()
 
 
 class TestOracleEquivalence:
@@ -105,11 +121,21 @@ class TestEnumerationRegressions:
         result = enumerate_loops(SearchSpec(order=8, constraint="moufang"))
         assert len(result.representatives) == MOUFANG_8_COUNT
         assert all(is_moufang(t).holds for t in result.representatives)
+        assert output_pin(result.representatives) == OUTPUT_PINS["moufang", 8]
 
-    def test_left_bol_9(self):
-        result = enumerate_loops(SearchSpec(order=9, constraint="left-bol"))
-        assert len(result.representatives) == LEFT_BOL_9_COUNT
-        assert all(is_associative(t).holds for t in result.representatives)
+    def test_left_bol_9(self, left_bol_9):
+        assert len(left_bol_9) == LEFT_BOL_9_COUNT
+        assert all(is_associative(t).holds for t in left_bol_9)
+
+    def test_right_bol_8_output_pinned(self, right_bol_8):
+        assert output_pin(right_bol_8) == OUTPUT_PINS["right-bol", 8]
+
+    def test_right_bol_9_output_pinned_and_transposed_left_bol(self, left_bol_9):
+        result = enumerate_loops(SearchSpec(order=9, constraint="right-bol"))
+        assert result.exhausted
+        assert output_pin(result.representatives) == OUTPUT_PINS["right-bol", 9]
+        transposed = sorted(canonical_form(t.transpose()).flat_bytes() for t in left_bol_9)
+        assert transposed == [t.flat_bytes() for t in result.representatives]
 
     def test_right_bol_8_is_transposed_left_bol(self, left_bol_upto_8, right_bol_8):
         transposed = sorted(
@@ -229,6 +255,19 @@ class TestDeterminismAndBudgets:
         with pytest.raises(OrderTooLargeForExact):
             enumerate_loops(SearchSpec(order=11))
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", pytest.param("c", marks=pytest.mark.skipif(not HAS_C, reason="no C kernel"))],
+    )
+    def test_kernel_refuses_unknown_constraint_id(self, backend):
+        # 2 was the right Bol id; running it as another search would be silent
+        kernel = get_kernel(backend)
+        for bad in (2, 5, -1):
+            with pytest.raises(ValueError, match=f"unknown constraint id {bad}"):
+                kernel.run(4, bad)
+            with pytest.raises(ValueError, match=f"unknown constraint id {bad}"):
+                kernel.collect_prefixes(4, bad)
+
     def test_bad_specs(self):
         with pytest.raises(ValueError):
             SearchSpec(order=0)
@@ -286,6 +325,25 @@ class TestFindFirst:
         )
         assert a.witnesses[0].table.rows == b.witnesses[0].table.rows
 
+    def test_right_bol_hunt_returns_mirror_of_first_left_bol_witness(self, monkeypatch):
+        # no right Bol loop of order <= 10 meets a real target; stand in one
+        # that the first nonassociative left Bol loop meets
+        from bolforge.search import engine
+
+        def nonassociative(t):
+            return None if is_associative(t).holds else {"table": t.flat_bytes().hex()}
+
+        monkeypatch.setitem(engine.TARGET_CHECKS, "commutant-not-subloop", nonassociative)
+        spec = SearchSpec(order=8, mode="find-first", target="commutant-not-subloop")
+        left = find_first(replace(spec, constraint="left-bol"))
+        right = find_first(replace(spec, constraint="right-bol"))
+        assert left.found and right.found
+        mirror = canonical_form(left.witnesses[0].table.transpose())
+        assert right.representatives == (mirror,)
+        assert right.witnesses[0].table == mirror
+        assert right.witnesses[0].data == nonassociative(mirror) != left.witnesses[0].data
+        assert is_right_bol(mirror).holds and not is_left_bol(mirror).holds
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_conjecture_witness_absent_small_orders(self, n):
         result = find_first(
@@ -301,7 +359,7 @@ class TestFindFirst:
 )
 class TestKernelParity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("constraint", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("constraint", KERNEL_CONSTRAINT_IDS)
     def test_run_outputs_identical(self, n, constraint):
         kc = get_kernel("c")
         kp = get_kernel("python")
@@ -314,8 +372,10 @@ class TestKernelParity:
         for budget in (7, 300):
             assert kc.run(5, 0, node_budget=budget) == kp.run(5, 0, node_budget=budget)
         assert kc.run(5, 1, iso_rows=1, debug_leaf=True) == kp.run(5, 1, iso_rows=1, debug_leaf=True)
-        for prefix in kp.collect_prefixes(6, 2)["tables"]:
-            assert kc.run(6, 2, prefix=prefix) == kp.run(6, 2, prefix=prefix)
+        # Moufang scans both the table and its transpose, which prefixes fill too
+        moufang = kp.CONSTRAINT_MOUFANG
+        for prefix in kp.collect_prefixes(6, moufang)["tables"]:
+            assert kc.run(6, moufang, prefix=prefix) == kp.run(6, moufang, prefix=prefix)
 
         def fifth_leaf_hits():
             seen = []
@@ -324,6 +384,9 @@ class TestKernelParity:
         c_out, p_out = (k.run(5, 0, find_mode=True, leaf_cb=fifth_leaf_hits()) for k in (kc, kp))
         assert c_out == p_out
         assert c_out["found"] and not c_out["exhausted"] and len(c_out["tables"]) == 1
+
+    def test_constraint_ids_equal(self):
+        assert constraint_ids(get_kernel("c")) == constraint_ids(get_kernel("python"))
 
     def test_leaf_cb_errors_propagate_and_bad_input_is_refused(self):
         kc = get_kernel("c")
