@@ -20,7 +20,6 @@ from .claims import (
     check_lemma2,
     check_remark1_extension,
     check_remark2_extension,
-    check_static_claims,
     check_theorem1,
     read_manifest,
     run_corpus,
@@ -28,6 +27,7 @@ from .claims import (
 from .errors import (
     EvenOrder,
     IndexOutOfRange,
+    InvalidSearchSpec,
     LoopError,
     MalformedInput,
     ManifestNotFound,
@@ -74,6 +74,6 @@ from .search import (
     enumerate_loops,
     find_first,
 )
-from .table import LoopTable, parse_loop, serialize_loop
+from .table import LoopTable, parse_loop
 
 __version__ = "0.1.0"

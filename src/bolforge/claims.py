@@ -60,19 +60,6 @@ VERIFIED = "verified"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 REFUTED = "REFUTED"
 
-CLAIM_IDS = (
-    "LEMMA1",
-    "LEMMA2",
-    "THEOREM1",
-    "COROLLARY",
-    "GLAUBERMAN_PARITY",
-    "REMARK1_EXT",
-    "REMARK2_EXT",
-    "CENTER_NORMAL",
-    "GROUP_COINCIDENCE",
-    "MOUFANG_COMMUTANT",
-)
-
 
 @dataclass(frozen=True)
 class ClaimVerdict:
@@ -295,15 +282,6 @@ def check_moufang_commutant(table: LoopTable, scope: str = "") -> ClaimVerdict:
     return _verified(claim, scope)
 
 
-def check_static_claims(table: LoopTable, scope: str = "") -> list[ClaimVerdict]:
-    """The three per-loop structural claims that need no order hypotheses."""
-    return [
-        check_center_normal(table, scope),
-        check_group_coincidence(table, scope),
-        check_moufang_commutant(table, scope),
-    ]
-
-
 CLAIM_CHECKS: dict[str, Callable[[LoopTable, str], ClaimVerdict]] = {
     "LEMMA1": check_lemma1,
     "LEMMA2": check_lemma2,
@@ -316,6 +294,8 @@ CLAIM_CHECKS: dict[str, Callable[[LoopTable, str], ClaimVerdict]] = {
     "GROUP_COINCIDENCE": check_group_coincidence,
     "MOUFANG_COMMUTANT": check_moufang_commutant,
 }
+
+CLAIM_IDS = tuple(CLAIM_CHECKS)
 
 
 def check_all(table: LoopTable, scope: str = "") -> list[ClaimVerdict]:

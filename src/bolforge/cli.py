@@ -10,16 +10,16 @@ a canonical-format loop file named by the hash of its table, so
 identical runs produce byte-identical files; volatile data (timings,
 timestamps) goes only to the stats sidecar.  A search refuses an output
 directory that already holds loop files or a stats sidecar, so outputs
-of two runs never mix.  The env var
-``BOLFORGE_BUDGET_NODES`` overrides the default node budget; an
-explicit ``--budget-nodes`` flag wins over the env var.
+of two runs never mix.  Neither the loop files nor the search counts in
+the sidecar depend on ``--jobs``.  Invalid search settings (``--order 0``,
+``--jobs 0``, a budget that is not positive) are bad input: one
+``error:`` line and exit 2, before anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,16 +56,6 @@ def _load_loop(path: str) -> LoopTable:
         return parse_loop(Path(path).read_text())
     except OSError as exc:
         raise LoopError(f"cannot read {path}: {exc}")
-
-
-def _default_node_budget() -> int:
-    env = os.environ.get("BOLFORGE_BUDGET_NODES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise LoopError(f"BOLFORGE_BUDGET_NODES is not an integer: {env!r}")
-    return DEFAULT_NODE_BUDGET
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -246,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite loop workbench: Cayley tables, Bol identities, commutant structure, search.",
     )
     parser.add_argument("--version", action="version", version=f"bolforge {__version__}")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for randomized smoke checks; never affects search output",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a loop file and print all property verdicts")
@@ -301,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--budget-seconds", type=float, default=DEFAULT_WALL_BUDGET)
 
     p = sub.add_parser("enumerate", help="enumerate isomorphism classes of a given order")
@@ -329,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget_nodes", None) is None and hasattr(args, "budget_nodes"):
-        try:
-            args.budget_nodes = _default_node_budget()
-        except LoopError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
     try:
         return args.fn(args)
     except LoopError as exc:

@@ -34,6 +34,10 @@ class IndexOutOfRange(LoopError, IndexError):
     """An element index does not belong to the table's carrier 0..n-1."""
 
 
+class InvalidSearchSpec(LoopError, ValueError):
+    """A search setting is unknown or out of range (order, class, budgets, jobs)."""
+
+
 class NoTwoSidedInverse(LoopError):
     """Left and right inverses of an element disagree.
 

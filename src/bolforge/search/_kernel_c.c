@@ -112,7 +112,7 @@ perm_table(int n)
 /* -- search state ---------------------------------------------------------- */
 
 typedef struct {
-    int n, constraint, iso_rows, ncells;
+    int n, constraint, ncells;
     int find_mode, debug_leaf, prefix_only, found, exhausted;
     long long node_budget, nodes, latin_prunes, identity_prunes;
     long long iso_prunes, leaves, canonical;
@@ -125,7 +125,7 @@ typedef struct {
 } Search;
 
 /* The keyword defaults of run and collect_prefixes; everything else 0. */
-#define SEARCH_DEFAULTS {.iso_rows = -1, .node_budget = 100000000LL, .leaf_cb = Py_None}
+#define SEARCH_DEFAULTS {.node_budget = 100000000LL, .leaf_cb = Py_None}
 
 static double
 monotonic_now(void)
@@ -418,7 +418,7 @@ dfs(Search *s, int idx)
     tpos = c * n + r;
     avail = s->full_mask & ~(s->row_used[r] | s->col_used[c]);
     s->latin_prunes += n - __builtin_popcount(avail);
-    boundary = c == n - 1 && r < n - 1 && (s->iso_rows < 0 || r <= s->iso_rows);
+    boundary = c == n - 1 && r < n - 1;
     while (avail) {
         bit = avail & (~avail + 1u);
         avail ^= bit;
@@ -492,7 +492,7 @@ search_run(Search *s, int start)
 
 PyDoc_STRVAR(run_doc,
 "run(n, constraint, prefix=None, find_mode=False, leaf_cb=None,\n"
-"    node_budget=10**8, deadline=0.0, iso_rows=-1, debug_leaf=False)\n"
+"    node_budget=100000000, deadline=0.0, debug_leaf=False)\n"
 "--\n\n"
 "Search the (sub)tree of normalized order-n tables; see _kernel_py docs.");
 
@@ -500,14 +500,14 @@ static PyObject *
 kernel_run(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "constraint", "prefix", "find_mode", "leaf_cb",
-                             "node_budget", "deadline", "iso_rows", "debug_leaf", NULL};
+                             "node_budget", "deadline", "debug_leaf", NULL};
     Search s = SEARCH_DEFAULTS;
     int n, constraint, start;
     PyObject *prefix = Py_None;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|OpOLdip:run", kwlist, &n, &constraint,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|OpOLdp:run", kwlist, &n, &constraint,
                                      &prefix, &s.find_mode, &s.leaf_cb, &s.node_budget,
-                                     &s.deadline, &s.iso_rows, &s.debug_leaf))
+                                     &s.deadline, &s.debug_leaf))
         return NULL;
     start = search_init(&s, n, constraint, prefix, 0);
     if (start < 0)
@@ -516,19 +516,19 @@ kernel_run(PyObject *module, PyObject *args, PyObject *kwargs)
 }
 
 PyDoc_STRVAR(collect_prefixes_doc,
-"collect_prefixes(n, constraint, node_budget=10**8, deadline=0.0, iso_rows=-1)\n"
+"collect_prefixes(n, constraint, node_budget=100000000, deadline=0.0)\n"
 "--\n\n"
 "Enumerate valid completions of row 1, the per-subtree split points.");
 
 static PyObject *
 kernel_collect_prefixes(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "constraint", "node_budget", "deadline", "iso_rows", NULL};
+    static char *kwlist[] = {"n", "constraint", "node_budget", "deadline", NULL};
     Search s = SEARCH_DEFAULTS;
     int n, constraint;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|Ldi:collect_prefixes", kwlist, &n,
-                                     &constraint, &s.node_budget, &s.deadline, &s.iso_rows))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|Ld:collect_prefixes", kwlist, &n,
+                                     &constraint, &s.node_budget, &s.deadline))
         return NULL;
     if (search_init(&s, n, constraint, Py_None, 1) < 0)
         return NULL;
@@ -536,7 +536,7 @@ kernel_collect_prefixes(PyObject *module, PyObject *args, PyObject *kwargs)
 }
 
 PyDoc_STRVAR(canonical_form_bytes_doc,
-"canonical_form_bytes(flat, n)\n"
+"canonical_form_bytes(flat, n, /)\n"
 "--\n\n"
 "Lex-least relabeling of a full normalized table, fixing element 0.");
 

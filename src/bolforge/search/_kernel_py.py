@@ -83,7 +83,6 @@ class _Search:
         leaf_cb=None,
         node_budget: int = 10**8,
         deadline: float = 0.0,
-        iso_rows: int = -1,
         debug_leaf: bool = False,
         prefix_only: bool = False,
     ):
@@ -95,7 +94,6 @@ class _Search:
         self.leaf_cb = leaf_cb
         self.node_budget = node_budget
         self.deadline = deadline
-        self.iso_rows = iso_rows
         self.debug_leaf = debug_leaf
         self.prefix_only = prefix_only
 
@@ -268,7 +266,7 @@ class _Search:
         col_used = self.col_used
         avail = self.full_mask & ~(row_used[r] | col_used[c])
         self.latin_prunes += n - bin(avail).count("1")
-        boundary = c == n - 1 and r < n - 1 and (self.iso_rows < 0 or r <= self.iso_rows)
+        boundary = c == n - 1 and r < n - 1
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -322,7 +320,6 @@ def run(
     leaf_cb=None,
     node_budget: int = 10**8,
     deadline: float = 0.0,
-    iso_rows: int = -1,
     debug_leaf: bool = False,
 ) -> dict:
     """Search the (sub)tree of normalized order-n tables; see module docs."""
@@ -334,7 +331,6 @@ def run(
         leaf_cb=leaf_cb,
         node_budget=node_budget,
         deadline=deadline,
-        iso_rows=iso_rows,
         debug_leaf=debug_leaf,
     )
     return search.run()
@@ -345,7 +341,6 @@ def collect_prefixes(
     constraint: int,
     node_budget: int = 10**8,
     deadline: float = 0.0,
-    iso_rows: int = -1,
 ) -> dict:
     """Enumerate valid completions of row 1, the per-subtree split points."""
     search = _Search(
@@ -353,13 +348,12 @@ def collect_prefixes(
         constraint,
         node_budget=node_budget,
         deadline=deadline,
-        iso_rows=iso_rows,
         prefix_only=True,
     )
     return search.run()
 
 
-def canonical_form_bytes(flat: bytes, n: int) -> bytes:
+def canonical_form_bytes(flat: bytes, n: int, /) -> bytes:
     """Lex-least relabeling of a full normalized table, fixing element 0."""
     groups = _perm_groups(n)
     best = bytes(flat)

@@ -7,11 +7,16 @@ boundary, runs them sequentially or on a process pool, merges results,
 and re-verifies every emitted table with the property checkers - the
 kernel's incremental pruning is never trusted for final verdicts.
 
-Determinism: subtrees are processed in lexicographic order of their
-row-1 prefix and candidate values ascend, so the representative list
-and any witness are identical for every worker count.  The node budget
-applies to each subtree independently (and to the prefix scan), which
-keeps budget-limited runs reproducible across worker counts as well.
+Determinism: one loop consumes the subtree results in lexicographic
+order of their row-1 prefix, from the builtin ``map`` for one worker or
+a process pool's ``map`` for more, and candidate values ascend, so the
+representative list, any witness and every search counter are identical
+for every worker count.  A find-first search stops at the first subtree
+with a witness and cancels the subtrees not yet started; subtrees after
+it add nothing to the counters, whether or not a worker ran them.  The
+node budget applies to each subtree independently (and to the prefix
+scan), which keeps budget-limited runs reproducible across worker
+counts as well.
 
 Right Bol is searched as the mirror of left Bol: a loop is right Bol
 exactly when its opposite loop, whose table is the transpose, is left
@@ -24,9 +29,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
-from ..errors import OrderTooLargeForExact, SearchSelfCheckError
+from ..errors import InvalidSearchSpec, OrderTooLargeForExact, SearchSelfCheckError
 from ..props import (
     Verdict,
     commutant,
@@ -67,27 +73,26 @@ class SearchSpec:
     node_budget: int = DEFAULT_NODE_BUDGET
     wall_budget_s: float = DEFAULT_WALL_BUDGET
     jobs: int = 1
-    iso_rows: int = -1  # -1: minimality rejection at every row boundary; 0: off
     nonassociative_only: bool = False
     debug_leaf_check: bool = False
     backend: str | None = None
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+            raise InvalidSearchSpec(f"order must be >= 1, got {self.order}")
         if self.constraint not in CONSTRAINT_IDS:
-            raise ValueError(f"unknown class constraint {self.constraint!r}")
+            raise InvalidSearchSpec(f"unknown class constraint {self.constraint!r}")
         if self.mode not in ("enumerate", "find-first"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidSearchSpec(f"unknown mode {self.mode!r}")
         if self.mode == "find-first":
             if self.target not in TARGET_CHECKS:
-                raise ValueError(
+                raise InvalidSearchSpec(
                     f"unknown target {self.target!r}; known: {', '.join(sorted(TARGET_CHECKS))}"
                 )
         if self.node_budget < 1 or self.wall_budget_s <= 0:
-            raise ValueError("budgets must be positive")
+            raise InvalidSearchSpec("budgets must be positive")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise InvalidSearchSpec(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -187,24 +192,18 @@ def _make_leaf_cb(target: str, n: int):
     return lambda flat: check(LoopTable.from_flat(flat, n)) is not None
 
 
-def _subtree_task(args: tuple) -> dict:
-    (backend, n, constraint_id, prefix, find_mode, target, node_budget, deadline,
-     iso_rows, debug_leaf) = args
-    kernel = get_kernel(backend)
-    leaf_cb = _make_leaf_cb(target, n) if find_mode else None
-    out = kernel.run(
-        n,
-        constraint_id,
+def _subtree_task(spec: SearchSpec, deadline: float, prefix: bytes) -> dict:
+    find_mode = spec.mode == "find-first"
+    return get_kernel(spec.backend).run(
+        spec.order,
+        CONSTRAINT_IDS[spec.constraint],
         prefix=prefix,
         find_mode=find_mode,
-        leaf_cb=leaf_cb,
-        node_budget=node_budget,
+        leaf_cb=_make_leaf_cb(spec.target, spec.order) if find_mode else None,
+        node_budget=spec.node_budget,
         deadline=deadline,
-        iso_rows=iso_rows,
-        debug_leaf=debug_leaf,
+        debug_leaf=spec.debug_leaf_check,
     )
-    out["tables"] = list(out["tables"])
-    return out
 
 
 def _merge_stats(parts: list[dict], subtrees: int) -> SearchStats:
@@ -244,40 +243,31 @@ def _run_search(spec: SearchSpec) -> SearchResult:
             f"search relies on exact isomorph rejection, available for order <= {EXACT_ORDER_LIMIT}"
         )
     kernel = get_kernel(spec.backend)
-    cid = CONSTRAINT_IDS[spec.constraint]
     mirror = spec.constraint == "right-bol"
     find_mode = spec.mode == "find-first"
     deadline = time.monotonic() + spec.wall_budget_s
 
     pre = kernel.collect_prefixes(
-        n, cid, node_budget=spec.node_budget, deadline=deadline, iso_rows=spec.iso_rows
+        n, CONSTRAINT_IDS[spec.constraint], node_budget=spec.node_budget, deadline=deadline
     )
-    prefixes: list[bytes] = list(pre["tables"])
+    prefixes: list[bytes] = pre["tables"]
     parts: list[dict] = [pre]
-    tasks = [
-        (spec.backend, n, cid, prefix, find_mode, spec.target, spec.node_budget,
-         deadline, spec.iso_rows, spec.debug_leaf_check)
-        for prefix in prefixes
-    ]
 
-    found_table: bytes | None = None
-    if spec.jobs > 1 and len(tasks) > 1:
+    pool = None
+    if spec.jobs > 1 and len(prefixes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(spec.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_subtree_task, tasks))
-        for out in results:
-            parts.append(out)
-            if find_mode and found_table is None and out["found"]:
-                found_table = out["tables"][0]
-    else:
-        for task in tasks:
-            out = _subtree_task(task)
+        pool = ProcessPoolExecutor(max_workers=min(spec.jobs, len(prefixes)))
+    found_table: bytes | None = None
+    try:
+        for out in (pool.map if pool else map)(partial(_subtree_task, spec, deadline), prefixes):
             parts.append(out)
             if find_mode and out["found"]:
                 found_table = out["tables"][0]
                 break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     stats = _merge_stats(parts, subtrees=len(prefixes))
     exhausted = all(p["exhausted"] for p in parts)

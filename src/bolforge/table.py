@@ -350,8 +350,3 @@ def parse_loop(text: str, normalize: bool = False) -> LoopTable:
     identity = header_identity if header_identity is not None else _detect_identity(rows)
     table = LoopTable(tuple(rows), identity)
     return table.normalized() if normalize else table
-
-
-def serialize_loop(table: LoopTable) -> str:
-    """Inverse of parse_loop on validated tables."""
-    return table.serialize()

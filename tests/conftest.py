@@ -31,7 +31,8 @@ def left_bol_upto_8():
 
 @pytest.fixture(scope="session")
 def left_bol_9():
-    return enumerate_loops(SearchSpec(order=9, constraint="left-bol")).representatives
+    """The whole SearchResult, so tests can read its counters as well."""
+    return enumerate_loops(SearchSpec(order=9, constraint="left-bol"))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from bolforge import (
     check_lemma2,
     check_remark1_extension,
     check_remark2_extension,
-    check_static_claims,
     check_theorem1,
     commutant,
     is_moufang,
@@ -21,7 +20,7 @@ from bolforge import (
     run_corpus,
 )
 from bolforge.catalog import cyclic, klein_four, symmetric_3
-from bolforge.claims import HYPOTHESIS_NOT_MET, REFUTED, VERIFIED
+from bolforge.claims import CLAIM_CHECKS, HYPOTHESIS_NOT_MET, REFUTED, VERIFIED
 
 from frozen import LOOP5_FIRST
 
@@ -177,23 +176,24 @@ class TestRemark2:
 
 
 class TestStaticClaims:
+    """The three per-loop structural claims that need no order hypotheses."""
+
     def test_s3_and_klein(self):
         for t in (symmetric_3(), klein_four()):
-            for verdict in check_static_claims(t):
-                assert verdict.status == VERIFIED
+            for claim in ("CENTER_NORMAL", "GROUP_COINCIDENCE", "MOUFANG_COMMUTANT"):
+                assert CLAIM_CHECKS[claim](t).status == VERIFIED
 
     def test_left_bol_non_moufang(self, left_bol_upto_8):
         non_moufang = [t for t in left_bol_upto_8[8] if not is_moufang(t).holds]
         assert non_moufang
         for t in non_moufang:
-            by_claim = {v.claim: v for v in check_static_claims(t)}
-            assert by_claim["CENTER_NORMAL"].status == VERIFIED
-            assert by_claim["GROUP_COINCIDENCE"].status == HYPOTHESIS_NOT_MET
-            assert by_claim["MOUFANG_COMMUTANT"].status == HYPOTHESIS_NOT_MET
+            assert CLAIM_CHECKS["CENTER_NORMAL"](t).status == VERIFIED
+            assert CLAIM_CHECKS["GROUP_COINCIDENCE"](t).status == HYPOTHESIS_NOT_MET
+            assert CLAIM_CHECKS["MOUFANG_COMMUTANT"](t).status == HYPOTHESIS_NOT_MET
 
     def test_center_normal_everywhere(self, corpus):
         for loop_id, t in corpus:
-            assert check_static_claims(t, loop_id)[0].status == VERIFIED, loop_id
+            assert CLAIM_CHECKS["CENTER_NORMAL"](t, loop_id).status == VERIFIED, loop_id
 
 
 class TestCheckAll:

@@ -163,24 +163,27 @@ class TestEnumerate:
         code = main(["enumerate", "--order", "6", "--budget-nodes", "40", "--out", str(out)])
         assert code == 3
 
-    def test_env_budget_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BOLFORGE_BUDGET_NODES", "40")
-        out = tmp_path / "envbudget"
-        assert main(["enumerate", "--order", "6", "--out", str(out)]) == 3
-        # explicit flag wins over the env var
-        out2 = tmp_path / "envbudget2"
-        assert main(
-            ["enumerate", "--order", "6", "--budget-nodes", "100000", "--out", str(out2)]
-        ) == 0
-
-    def test_bad_env_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BOLFORGE_BUDGET_NODES", "lots")
-        assert main(["enumerate", "--order", "5", "--out", str(tmp_path / "x")]) == 2
-
     def test_bad_flags_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--order", "5", "--class", "nope", "--out", str(tmp_path)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--order", "3", "--jobs", "0"],
+            ["enumerate", "--order", "0"],
+            ["enumerate", "--order", "3", "--budget-nodes", "0"],
+            ["find", "--order", "5", "--find", "commutant-not-subloop", "--budget-seconds", "-1"],
+        ],
+    )
+    def test_bad_search_settings_exit_2_before_writing(self, tmp_path, capsys, argv):
+        # used to escape main as a bare ValueError, i.e. a traceback and exit 1
+        out = tmp_path / "never"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_used_out_dir_refused_and_unchanged(self, tmp_path, capsys):
         # a second run into the same directory used to leave 9 files, with
@@ -214,12 +217,6 @@ class TestEnumerate:
             ) == 2
             assert "error: " in capsys.readouterr().err
         assert afile.read_text() == "not a directory\n"
-
-    def test_seed_flag_accepted_and_inert(self, tmp_path):
-        a, b = tmp_path / "s1", tmp_path / "s2"
-        assert main(["--seed", "7", "enumerate", "--order", "4", "--out", str(a)]) == 0
-        assert main(["--seed", "8", "enumerate", "--order", "4", "--out", str(b)]) == 0
-        assert {p.name for p in a.glob("*.loop")} == {p.name for p in b.glob("*.loop")}
 
 
 class TestFind:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from dataclasses import replace
 from itertools import permutations
 
@@ -122,10 +123,12 @@ class TestEnumerationRegressions:
         assert len(result.representatives) == MOUFANG_8_COUNT
         assert all(is_moufang(t).holds for t in result.representatives)
         assert output_pin(result.representatives) == OUTPUT_PINS["moufang", 8]
+        assert result.stats.nodes == 7697
 
     def test_left_bol_9(self, left_bol_9):
-        assert len(left_bol_9) == LEFT_BOL_9_COUNT
-        assert all(is_associative(t).holds for t in left_bol_9)
+        assert len(left_bol_9.representatives) == LEFT_BOL_9_COUNT
+        assert all(is_associative(t).holds for t in left_bol_9.representatives)
+        assert (left_bol_9.stats.nodes, left_bol_9.stats.iso_prunes) == (44354, 13261)
 
     def test_right_bol_8_output_pinned(self, right_bol_8):
         assert output_pin(right_bol_8) == OUTPUT_PINS["right-bol", 8]
@@ -134,7 +137,9 @@ class TestEnumerationRegressions:
         result = enumerate_loops(SearchSpec(order=9, constraint="right-bol"))
         assert result.exhausted
         assert output_pin(result.representatives) == OUTPUT_PINS["right-bol", 9]
-        transposed = sorted(canonical_form(t.transpose()).flat_bytes() for t in left_bol_9)
+        transposed = sorted(
+            canonical_form(t.transpose()).flat_bytes() for t in left_bol_9.representatives
+        )
         assert transposed == [t.flat_bytes() for t in result.representatives]
 
     def test_right_bol_8_is_transposed_left_bol(self, left_bol_upto_8, right_bol_8):
@@ -217,12 +222,14 @@ class TestDeterminismAndBudgets:
                 t.rows for t in base.representatives
             ]
             assert result.exhausted == base.exhausted
+            assert result.stats == base.stats
 
-    def test_disabling_in_tree_rejection_keeps_output(self):
-        base = enumerate_loops(SearchSpec(order=5))
-        off = enumerate_loops(SearchSpec(order=5, iso_rows=0))
-        assert [t.rows for t in off.representatives] == [t.rows for t in base.representatives]
-        assert off.stats.leaves > base.stats.leaves
+    @pytest.mark.parametrize("n, nodes, iso_prunes, leaves", [(5, 195, 16, 6), (6, 5462, 336, 163)])
+    def test_unconstrained_counters_pinned(self, n, nodes, iso_prunes, leaves):
+        # iso_prunes > 0: minimality rejection cuts branches at row boundaries,
+        # before they reach a leaf
+        stats = enumerate_loops(SearchSpec(order=n)).stats
+        assert (stats.nodes, stats.iso_prunes, stats.leaves) == (nodes, iso_prunes, leaves)
 
     def test_debug_leaf_check_clean(self):
         result = enumerate_loops(SearchSpec(order=5, constraint="left-bol", debug_leaf_check=True))
@@ -317,13 +324,15 @@ class TestFindFirst:
         assert op(a, b) not in data["commutant"]
 
     def test_find_jobs_deterministic(self):
-        a = find_first(
-            SearchSpec(order=6, mode="find-first", target="commutant-not-subloop", jobs=1)
-        )
-        b = find_first(
-            SearchSpec(order=6, mode="find-first", target="commutant-not-subloop", jobs=4)
-        )
-        assert a.witnesses[0].table.rows == b.witnesses[0].table.rows
+        # every worker count stops at the first subtree with a witness, so the
+        # counters cover the same subtrees; a pool that ran all 5 counted 1,751 nodes
+        spec = SearchSpec(order=6, mode="find-first", target="commutant-not-subloop")
+        a = find_first(spec)
+        assert (a.stats.nodes, a.stats.subtrees) == (402, 5)
+        for jobs in (2, 4):
+            b = find_first(replace(spec, jobs=jobs))
+            assert b.witnesses[0].table.rows == a.witnesses[0].table.rows
+            assert b.stats == a.stats
 
     def test_right_bol_hunt_returns_mirror_of_first_left_bol_witness(self, monkeypatch):
         # no right Bol loop of order <= 10 meets a real target; stand in one
@@ -371,7 +380,7 @@ class TestKernelParity:
         kp = get_kernel("python")
         for budget in (7, 300):
             assert kc.run(5, 0, node_budget=budget) == kp.run(5, 0, node_budget=budget)
-        assert kc.run(5, 1, iso_rows=1, debug_leaf=True) == kp.run(5, 1, iso_rows=1, debug_leaf=True)
+        assert kc.run(5, 1, debug_leaf=True) == kp.run(5, 1, debug_leaf=True)
         # Moufang scans both the table and its transpose, which prefixes fill too
         moufang = kp.CONSTRAINT_MOUFANG
         for prefix in kp.collect_prefixes(6, moufang)["tables"]:
@@ -387,6 +396,14 @@ class TestKernelParity:
 
     def test_constraint_ids_equal(self):
         assert constraint_ids(get_kernel("c")) == constraint_ids(get_kernel("python"))
+
+    @pytest.mark.parametrize("name", ["run", "collect_prefixes", "canonical_form_bytes"])
+    def test_signatures_equal(self, name):
+        def params(kernel):
+            sig = inspect.signature(getattr(kernel, name))
+            return [(p.name, p.kind, p.default) for p in sig.parameters.values()]
+
+        assert params(get_kernel("c")) == params(get_kernel("python"))
 
     def test_leaf_cb_errors_propagate_and_bad_input_is_refused(self):
         kc = get_kernel("c")

@@ -11,7 +11,6 @@ from bolforge import (
     NoTwoSidedInverse,
     is_power_associative,
     parse_loop,
-    serialize_loop,
 )
 from bolforge.catalog import cyclic, klein_four
 
@@ -101,18 +100,18 @@ class TestParse:
 class TestRoundTrip:
     @pytest.mark.parametrize("table", [cyclic(3), klein_four(), parse_loop(KLEIN_RELABELED)])
     def test_simple(self, table):
-        assert parse_loop(serialize_loop(table)) == table
+        assert parse_loop(table.serialize()) == table
 
     def test_enumerated_bol_loop(self, left_bol_upto_8):
         for t in left_bol_upto_8[8]:
-            assert parse_loop(serialize_loop(t)) == t
+            assert parse_loop(t.serialize()) == t
 
     @given(data=st.data())
     def test_roundtrip_after_relabeling(self, data):
         t = cyclic(6)
         perm = data.draw(st.permutations(range(6)))
         relabeled = t.relabel(list(perm))
-        assert parse_loop(serialize_loop(relabeled)) == relabeled
+        assert parse_loop(relabeled.serialize()) == relabeled
 
 
 class TestArithmetic:
