@@ -10,12 +10,15 @@
  * the opposite loop.  A loop is right Bol exactly when its opposite is
  * left Bol, so the one left Bol scan checks Moufang (left and right Bol)
  * as check_left_bol(T) && check_left_bol(Tt).
+ *
+ * Minimality rejection and canonical_form_bytes share one routine,
+ * least_image: a branch and bound over the labelings of image row 1 that
+ * keeps no list of relabelings.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -31,84 +34,6 @@ enum {
     CONSTRAINT_ASSOC = 4,
 };
 
-/* -- identity-fixing relabelings ------------------------------------------ */
-
-/*
- * The non-identity relabelings of 0..n-1 that fix 0, in a buffer of
- * (n-1)! records of 2n bytes: the permutation, then its inverse.  Records
- * are grouped by inverse[1], the source row of image row 1; group k starts
- * at record start[k] and holds count[k] records, so a partial table filled
- * through row r is only compared against groups k <= r.  Built on first
- * use of an order and kept for the life of the process.
- */
-typedef struct {
-    unsigned char *recs;
-    int start[MAX_ORDER];
-    int count[MAX_ORDER];
-} PermTable;
-
-static PermTable perm_tables[MAX_ORDER + 1];
-
-/* Step a to its lexicographic successor; 0 once a is the last permutation. */
-static int
-next_permutation(unsigned char *a, int len)
-{
-    int i = len - 2, j;
-    unsigned char t;
-    while (i >= 0 && a[i] >= a[i + 1])
-        i--;
-    if (i < 0)
-        return 0;
-    j = len - 1;
-    while (a[j] <= a[i])
-        j--;
-    t = a[i]; a[i] = a[j]; a[j] = t;
-    for (i++, j = len - 1; i < j; i++, j--) {
-        t = a[i]; a[i] = a[j]; a[j] = t;
-    }
-    return 1;
-}
-
-static const PermTable *
-perm_table(int n)
-{
-    PermTable *pt = &perm_tables[n];
-    unsigned char perm[MAX_ORDER], inv[MAX_ORDER], *rec;
-    int fill[MAX_ORDER];
-    size_t nrecs = 1;
-    int group = 1, i, k;
-
-    if (pt->recs != NULL)
-        return pt;
-    for (i = 2; i < n; i++)
-        nrecs *= i;
-    pt->recs = malloc(nrecs * 2 * n);
-    if (pt->recs == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    /* Each group holds the (n-2)! perms sending k to 1; group 1 also
-     * holds the identity, which is left out. */
-    for (i = 2; i < n - 1; i++)
-        group *= i;
-    for (k = 1; k < n; k++) {
-        pt->count[k] = k == 1 ? group - 1 : group;
-        pt->start[k] = k == 1 ? 0 : pt->start[k - 1] + pt->count[k - 1];
-        fill[k] = 0;
-    }
-    for (i = 0; i < n; i++)
-        perm[i] = (unsigned char)i;
-    while (next_permutation(perm + 1, n - 1)) {
-        for (i = 0; i < n; i++)
-            inv[perm[i]] = (unsigned char)i;
-        k = inv[1];
-        rec = pt->recs + (size_t)(pt->start[k] + fill[k]++) * 2 * n;
-        memcpy(rec, perm, n);
-        memcpy(rec + n, inv, n);
-    }
-    return pt;
-}
-
 /* -- search state ---------------------------------------------------------- */
 
 typedef struct {
@@ -119,7 +44,6 @@ typedef struct {
     double deadline;
     unsigned char T[MAX_ORDER * MAX_ORDER], Tt[MAX_ORDER * MAX_ORDER]; /* Tt: transpose */
     unsigned int row_used[MAX_ORDER], col_used[MAX_ORDER], full_mask;
-    const PermTable *perms;
     PyObject *leaf_cb; /* borrowed */
     PyObject *tables;  /* owned list of bytes */
 } Search;
@@ -187,9 +111,6 @@ search_init(Search *s, int n, int constraint, PyObject *prefix, int prefix_only)
         s->row_used[i] = s->col_used[i] = 1u << i;
     s->ncells = prefix_only ? n - 1 : (n - 1) * (n - 1);
     s->exhausted = 1;
-    s->perms = perm_table(n);
-    if (s->perms == NULL)
-        return -1;
 
     if (prefix == Py_None)
         return 0;
@@ -312,45 +233,113 @@ identity_ok(const Search *s)
     }
 }
 
-/* -- minimality rejection ---------------------------------------------------- */
+/* -- least image ------------------------------------------------------------- */
 
-/* True if the relabeled table is lex-smaller on the determined prefix. */
+/*
+ * The least-image walk of the _kernel_py module docs.  p relabels and
+ * q = p^-1; p[s] is EMPTY while s is unlabeled, and labels 0..nl-1 are
+ * the ones in use.
+ */
+typedef struct {
+    const unsigned char *T;
+    unsigned char *bound;
+    int n, k, first;
+    unsigned char p[MAX_ORDER], q[MAX_ORDER];
+} Walk;
+
+/* Rows 2.. of the image; below: an earlier cell is already smaller. */
 static int
-image_smaller(const Search *s, const unsigned char *perm, const unsigned char *inv)
+walk_rest(Walk *w, int below)
 {
-    const unsigned char *T = s->T;
-    int n = s->n, i, j, row, src;
-    unsigned char pv, qsrc, qv;
-    for (i = 1; i < n; i++) {
-        row = i * n;
-        src = inv[i] * n;
+    const unsigned char *T = w->T, *p = w->p, *q = w->q;
+    int n = w->n, i, j;
+    unsigned char b, v;
+    for (i = 2; i < n && !below; i++) {
         for (j = 1; j < n; j++) {
-            pv = T[row + j];
-            if (pv == EMPTY)
+            b = w->bound[i * n + j];
+            v = T[q[i] * n + q[j]];
+            if (b == EMPTY || v == EMPTY || p[v] > b)
                 return 0;
-            qsrc = T[src + inv[j]];
-            if (qsrc == EMPTY)
-                return 0;
-            qv = perm[qsrc];
-            if (qv != pv)
-                return qv < pv;
+            if (p[v] < b) {
+                below = 1;
+                break;
+            }
         }
     }
-    return 0;
+    if (below && !w->first)
+        for (i = 0; i < n; i++)
+            for (j = 0; j < n; j++)
+                w->bound[i * n + j] = p[T[q[i] * n + q[j]]];
+    return below;
+}
+
+/* Image row 1 from column j on. */
+static int
+walk_row1(Walk *w, int j, int nl, int below)
+{
+    int n = w->n, s, v, m, l, found, hit = 0;
+    if (j == n)
+        return walk_rest(w, below);
+    for (s = j < nl ? w->q[j] : 1; s < n; s++) {
+        m = nl;
+        if (j == nl) {
+            if (w->p[s] != EMPTY)
+                continue;
+            w->p[s] = (unsigned char)m;
+            w->q[m++] = (unsigned char)s;
+        }
+        v = w->T[w->k * n + s];
+        if (w->p[v] == EMPTY) {
+            w->p[v] = (unsigned char)m;
+            w->q[m++] = (unsigned char)v;
+        }
+        found = 0;
+        if (below || w->p[v] < w->bound[n + j])
+            found = w->first || walk_row1(w, j + 1, m, 1);
+        else if (w->p[v] == w->bound[n + j])
+            found = walk_row1(w, j + 1, m, 0);
+        for (l = nl; l < m; l++)
+            w->p[w->q[l]] = EMPTY;
+        if (found) {
+            if (w->first)
+                return 1;
+            /* bound now extends this branch, so later ones compare afresh */
+            hit = 1;
+            below = 0;
+        }
+        if (j < nl)
+            break;
+    }
+    return hit;
+}
+
+/*
+ * 1 if the image of some relabeling with q(1) <= last is smaller than
+ * bound.  With first it stops there; without, bound ends as the least
+ * image.  Rows 1..last of T and row 1 of bound must be full.  Minimality
+ * rejection asks first with bound = T, and the canonical form is the
+ * least image of a full table from bound = T.
+ */
+static int
+least_image(const unsigned char *T, unsigned char *bound, int n, int last, int first)
+{
+    Walk w = {.T = T, .bound = bound, .n = n, .first = first};
+    int hit = 0;
+    memset(w.p, EMPTY, sizeof w.p);
+    w.p[0] = w.q[0] = 0;
+    for (w.k = 1; w.k <= last && !(hit && first); w.k++) {
+        w.p[w.k] = 1;
+        w.q[1] = (unsigned char)w.k;
+        hit |= walk_row1(&w, 1, 2, 0);
+        w.p[w.k] = EMPTY;
+    }
+    return hit;
 }
 
 static int
-min_reject(const Search *s, int rows_filled)
+min_reject(Search *s, int rows_filled)
 {
-    int n = s->n, k, r;
-    const unsigned char *rec;
-    for (k = 1; k <= rows_filled; k++) {
-        rec = s->perms->recs + (size_t)s->perms->start[k] * 2 * n;
-        for (r = 0; r < s->perms->count[k]; r++, rec += 2 * n)
-            if (image_smaller(s, rec, rec + n))
-                return 1;
-    }
-    return 0;
+    return least_image(s->T, s->T, s->n, rows_filled, 1);
 }
 
 /* -- leaves and depth-first fill --------------------------------------------- */
@@ -544,10 +533,9 @@ static PyObject *
 kernel_canonical_form_bytes(PyObject *module, PyObject *args)
 {
     Py_buffer view;
-    int n, i, j, k, r, row, srow, diff;
-    const unsigned char *src, *rec, *perm, *inv;
+    int n, i;
+    const unsigned char *src;
     unsigned char best[MAX_ORDER * MAX_ORDER];
-    const PermTable *pt;
 
     if (!PyArg_ParseTuple(args, "y*i:canonical_form_bytes", &view, &n))
         return NULL;
@@ -564,32 +552,8 @@ kernel_canonical_form_bytes(PyObject *module, PyObject *args)
             goto fail;
         }
     }
-    pt = perm_table(n);
-    if (pt == NULL)
-        goto fail;
     memcpy(best, src, n * n);
-    for (k = 1; k < n; k++) {
-        rec = pt->recs + (size_t)pt->start[k] * 2 * n;
-        for (r = 0; r < pt->count[k]; r++, rec += 2 * n) {
-            perm = rec;
-            inv = rec + n;
-            diff = 0;
-            for (i = 1; i < n && !diff; i++) {
-                row = i * n;
-                srow = inv[i] * n;
-                for (j = 1; j < n && !diff; j++)
-                    diff = (int)perm[src[srow + inv[j]]] - (int)best[row + j];
-            }
-            if (diff < 0) {
-                for (i = 0; i < n; i++) {
-                    row = i * n;
-                    srow = inv[i] * n;
-                    for (j = 0; j < n; j++)
-                        best[row + j] = perm[src[srow + inv[j]]];
-                }
-            }
-        }
-    }
+    least_image(src, best, n, n - 1, 0);
     PyBuffer_Release(&view);
     return PyBytes_FromStringAndSize((const char *)best, n * n);
 

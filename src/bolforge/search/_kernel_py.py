@@ -22,19 +22,34 @@ Pruning:
   no constraint id: the search engine runs it as a left Bol search and
   mirrors the output.
 * Minimality - at row boundaries (and always at leaves) the partial
-  table is compared against its images under identity-fixing
-  relabelings; if some image is lexicographically smaller on the
-  determined prefix, no completion of the branch can be the canonical
-  class representative, so the branch is cut.  Leaves that survive the
-  full comparison are exactly the canonical representatives, hence no
+  table is compared with its images under identity-fixing relabelings;
+  if some image is lexicographically smaller on the determined prefix,
+  no completion of the branch can be the canonical class
+  representative, so the branch is cut.  Leaves that survive the full
+  comparison are exactly the canonical representatives, hence no
   deduplication set is needed and subtree results merge by
   concatenation.
+
+The least-image walk (``_least_image``) answers both minimality and the
+canonical form without listing the (n-1)! relabelings.  Image cell
+(i, j) under a relabeling p with p(0) = 0 is p(T[q(i)][q(j)]), with
+q = p^-1, and images are compared on rows and columns 1..n-1.  For each
+source k = q(1) of image row 1, the walk fills that row left to right.
+A column j with no source yet branches over every unlabeled s as q(j).
+A product with no label takes the least free label; any other label
+only makes that cell larger, so no relabeling outside the walk has a
+smaller image.  After row 1 every column has a source, so p is complete
+and the other rows follow without branching.  A branch is cut at its
+first cell larger than the bound.  A cell of the table or the bound
+met EMPTY before a decision counts as not smaller.  On a table filled
+through row r, the walk over sources 1..r with the table as its own
+bound finds whether a smaller image exists; row 1 of each such source
+is full, so every row-1 cell is decided.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import permutations
 
 BACKEND = "python"
 
@@ -46,31 +61,77 @@ CONSTRAINT_MOUFANG = 3
 CONSTRAINT_ASSOC = 4
 _CONSTRAINTS = (CONSTRAINT_NONE, CONSTRAINT_LEFT_BOL, CONSTRAINT_MOUFANG, CONSTRAINT_ASSOC)
 
-_PERM_CACHE: dict[int, list[list[tuple[tuple[int, ...], tuple[int, ...]]]]] = {}
 
+def _least_image(T, bound: bytearray, n: int, last: int, first: bool) -> bool:
+    """True if the image of some relabeling with q(1) <= last is below ``bound``.
 
-def _perm_groups(n: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Non-identity relabelings fixing 0, as (perm, inverse) pairs.
-
-    Group k holds the perms whose inverse maps 1 to k, i.e. those whose
-    image row 1 is sourced from row k; a partial table filled through
-    row r can only be compared against groups k <= r.
+    With ``first`` it stops there; without, ``bound`` ends as the least
+    image.  Rows 1..last of T and row 1 of ``bound`` must be full.  See
+    the module docs for the walk.
     """
-    cached = _PERM_CACHE.get(n)
-    if cached is not None:
-        return cached
-    groups: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
-    ident = tuple(range(n))
-    for tail in permutations(range(1, n)):
-        perm = (0,) + tail
-        if perm == ident:
-            continue
-        inv = [0] * n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        groups[inv[1]].append((perm, tuple(inv)))
-    _PERM_CACHE[n] = groups
-    return groups
+    p = [EMPTY] * n  # p[s] is EMPTY while s is unlabeled
+    q = [0] * n
+    p[0] = 0
+
+    def rest(below: bool) -> bool:
+        for i in range(2, n):
+            if below:
+                break
+            src = q[i] * n
+            for j in range(1, n):
+                b = bound[i * n + j]
+                v = T[src + q[j]]
+                if b == EMPTY or v == EMPTY or p[v] > b:
+                    return False
+                if p[v] < b:
+                    below = True
+                    break
+        if below and not first:
+            bound[:] = bytes(p[T[q[i] * n + q[j]]] for i in range(n) for j in range(n))
+        return below
+
+    def row1(j: int, nl: int, below: bool) -> bool:
+        # image row 1 from column j on, with labels 0..nl-1 in use
+        if j == n:
+            return rest(below)
+        hit = False
+        for s in (q[j],) if j < nl else range(1, n):
+            m = nl
+            if j == nl:
+                if p[s] != EMPTY:
+                    continue
+                p[s] = m
+                q[m] = s
+                m += 1
+            v = T[k * n + s]
+            if p[v] == EMPTY:
+                p[v] = m
+                q[m] = v
+                m += 1
+            found = False
+            if below or p[v] < bound[n + j]:
+                found = first or row1(j + 1, m, True)
+            elif p[v] == bound[n + j]:
+                found = row1(j + 1, m, False)
+            for label in range(nl, m):
+                p[q[label]] = EMPTY
+            if found:
+                if first:
+                    return True
+                # bound now extends this branch, so later ones compare afresh
+                hit = True
+                below = False
+        return hit
+
+    hit = False
+    for k in range(1, last + 1):
+        p[k] = 1
+        q[1] = k
+        hit = row1(1, 2, False) or hit
+        p[k] = EMPTY
+        if hit and first:
+            break
+    return hit
 
 
 class _Search:
@@ -118,7 +179,6 @@ class _Search:
                 self.col_used[c] |= 1 << v
             self.start_idx = len(prefix)
 
-        self.perm_groups = _perm_groups(n)
         self.tables: list[bytes] = []
         self.found = False
         self.nodes = 0
@@ -200,32 +260,8 @@ class _Search:
 
     # -- minimality rejection -----------------------------------------------
 
-    def _image_smaller(self, perm, inv) -> bool:
-        """True if the relabeled table is lex-smaller on the determined prefix."""
-        T = self.T
-        n = self.n
-        for i in range(1, n):
-            row = i * n
-            src = inv[i] * n
-            for j in range(1, n):
-                pv = T[row + j]
-                if pv == EMPTY:
-                    return False
-                qsrc = T[src + inv[j]]
-                if qsrc == EMPTY:
-                    return False
-                qv = perm[qsrc]
-                if qv != pv:
-                    return qv < pv
-        return False
-
     def _min_reject(self, rows_filled: int) -> bool:
-        groups = self.perm_groups
-        for k in range(1, rows_filled + 1):
-            for perm, inv in groups[k]:
-                if self._image_smaller(perm, inv):
-                    return True
-        return False
+        return _least_image(self.T, self.T, self.n, rows_filled, True)
 
     # -- leaves ----------------------------------------------------------------
 
@@ -355,30 +391,10 @@ def collect_prefixes(
 
 def canonical_form_bytes(flat: bytes, n: int, /) -> bytes:
     """Lex-least relabeling of a full normalized table, fixing element 0."""
-    groups = _perm_groups(n)
-    best = bytes(flat)
-    for k in range(1, n):
-        for perm, inv in groups[k]:
-            smaller = False
-            for i in range(1, n):
-                row = i * n
-                src = inv[i] * n
-                done = False
-                for j in range(1, n):
-                    qv = perm[flat[src + inv[j]]]
-                    bv = best[row + j]
-                    if qv != bv:
-                        smaller = qv < bv
-                        done = True
-                        break
-                if done:
-                    break
-            if smaller:
-                out = bytearray(n * n)
-                for i in range(n):
-                    src = inv[i] * n
-                    row = i * n
-                    for j in range(n):
-                        out[row + j] = perm[flat[src + inv[j]]]
-                best = bytes(out)
-    return best
+    if len(flat) != n * n:
+        raise ValueError("flat table has wrong size")
+    if any(v >= n for v in flat):
+        raise ValueError("flat table holds a value outside 0..n-1")
+    best = bytearray(flat)
+    _least_image(flat, best, n, n - 1, False)
+    return bytes(best)

@@ -6,8 +6,9 @@ after normalizing the identity to element 0 only the (n-1)! relabelings
 fixing 0 need to be considered; the canonical form is the
 lexicographically least row-major table among those images.
 
-Exact mode enumerates all relabelings (with early-exit comparison) and
-is limited to order 10.  Larger orders fall back to a refinement
+Exact mode finds that least image with the kernel's least-image walk,
+a branch and bound over the labelings of image row 1 that never lists
+the relabelings, and is limited to order 10.  Larger orders fall back to a refinement
 heuristic whose guarantee is one-sided: equal forms imply isomorphic,
 but isomorphic tables may produce different forms.
 """

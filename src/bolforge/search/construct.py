@@ -11,7 +11,7 @@ re-validated as a left Bol loop before being returned.
 from __future__ import annotations
 
 from ..errors import EvenOrder, LoopError, NotAGroup, PostConstructionCheckFailed
-from ..props import is_associative, is_left_bol
+from ..props import has_two_sided_inverses, is_associative, is_left_bol
 from ..table import LoopTable
 
 
@@ -45,6 +45,6 @@ def construct_bruck_from_group(group: LoopTable) -> LoopTable:
         raise PostConstructionCheckFailed(
             f"constructed table is not left Bol: witness {list(bol.witnesses[0])}"
         )
-    if not loop.has_two_sided_inverses():
+    if not has_two_sided_inverses(loop).holds:
         raise PostConstructionCheckFailed("constructed table lacks two-sided inverses")
     return loop

@@ -28,7 +28,7 @@ node counts are those of the left Bol search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -106,15 +106,7 @@ class SearchStats:
     subtrees: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "latin_prunes": self.latin_prunes,
-            "identity_prunes": self.identity_prunes,
-            "iso_prunes": self.iso_prunes,
-            "leaves": self.leaves,
-            "canonical": self.canonical,
-            "subtrees": self.subtrees,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -207,15 +199,8 @@ def _subtree_task(spec: SearchSpec, deadline: float, prefix: bytes) -> dict:
 
 
 def _merge_stats(parts: list[dict], subtrees: int) -> SearchStats:
-    return SearchStats(
-        nodes=sum(p["nodes"] for p in parts),
-        latin_prunes=sum(p["latin_prunes"] for p in parts),
-        identity_prunes=sum(p["identity_prunes"] for p in parts),
-        iso_prunes=sum(p["iso_prunes"] for p in parts),
-        leaves=sum(p.get("leaves", 0) for p in parts),
-        canonical=sum(p.get("canonical", 0) for p in parts),
-        subtrees=subtrees,
-    )
+    counters = [f.name for f in fields(SearchStats) if f.name != "subtrees"]
+    return SearchStats(**{c: sum(p[c] for p in parts) for c in counters}, subtrees=subtrees)
 
 
 def _mirror(flat: bytes, n: int, kernel) -> bytes:

@@ -164,9 +164,6 @@ class LoopTable:
             raise NoTwoSidedInverse(x, li, ri)
         return li
 
-    def has_two_sided_inverses(self) -> bool:
-        return all(self.left_inverse(x) == self.right_inverse(x) for x in self.elements)
-
     def power(self, x: int, k: int) -> int:
         """k-th left-bracketed power of x.
 

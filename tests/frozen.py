@@ -15,6 +15,11 @@ Derivations (re-checked by the tests that use them):
   Bol counts were derived by exhaustive enumeration, cross-checked by
   transposition (right Bol classes = transposed left Bol classes) and
   by the property checkers re-verifying every representative.
+* External anchor for LOOP_COUNTS[7] = 23746: McKay, Meynert and
+  Myrvold, "Small Latin squares, quasigroups and loops", J. Combin.
+  Des. 15 (2007), and OEIS A057771 (loops of order n up to isomorphism).
+  The naive oracle is too slow at order 7, so this count rests on the
+  published figure alone.
 * External anchor for LEFT_BOL_COUNTS[8] = 11 and LEFT_BOL_8_NONASSOC = 6:
   Burn, "Finite Bol loops", Math. Proc. Camb. Phil. Soc. 84 (1978)
   classifies the Bol loops of order 8 as 5 groups and 6 nonassociative
@@ -31,7 +36,7 @@ LOOP5_FIRST = "5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n"
 
 LOOP6_NON_PA = "6\n0 1 2 3 4 5\n1 0 3 2 5 4\n2 3 4 5 0 1\n3 2 5 4 1 0\n4 5 0 1 3 2\n5 4 1 0 2 3\n"
 
-LOOP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 109}
+LOOP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 109, 7: 23746}
 
 GROUP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5}
 

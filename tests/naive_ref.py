@@ -1,10 +1,10 @@
 """Independent reference implementations used only as test oracles.
 
 Everything here is deliberately written without the package's search
-machinery: brute-force generation, pairwise isomorphism by permutation
-trial, and bracketing enumeration.  Keep it that way - these functions
-exist to cross-check the fast paths, so they must not share code with
-them.
+machinery: brute-force generation, pairwise isomorphism and canonical
+form by permutation trial, and bracketing enumeration.  Keep it that
+way - these functions exist to cross-check the fast paths, so they must
+not share code with them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ def are_isomorphic(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...
         if relabel_rows(a, (0,) + tail) == b:
             return True
     return False
+
+
+def naive_canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Least image of a normalized table over every identity-fixing map."""
+    n = len(rows)
+    return min(relabel_rows(rows, (0,) + tail) for tail in permutations(range(1, n)))
 
 
 def iso_classes(tables) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import random
 from dataclasses import replace
 from itertools import permutations
 
@@ -17,6 +18,7 @@ from bolforge import (
     construct_bruck_from_group,
     enumerate_loops,
     find_first,
+    has_two_sided_inverses,
     is_associative,
     is_left_bol,
     is_moufang,
@@ -24,7 +26,7 @@ from bolforge import (
     is_subloop,
     parse_loop,
 )
-from bolforge.catalog import cyclic, frobenius_21
+from bolforge.catalog import cyclic, direct_product, frobenius_21
 from bolforge.search import get_kernel
 
 from frozen import (
@@ -37,13 +39,18 @@ from frozen import (
     MOUFANG_8_COUNT,
     OUTPUT_PINS,
 )
-from naive_ref import iso_classes, naive_normalized_tables, relabel_rows
+from naive_ref import iso_classes, naive_canonical_form, naive_normalized_tables, relabel_rows
 
 try:
     get_kernel("c")
     HAS_C = True
 except ImportError:
     HAS_C = False
+
+needs_c = pytest.mark.skipif(
+    not HAS_C, reason="compiled kernel not built; run `python setup.py build_ext --inplace`"
+)
+BACKENDS = ["python", pytest.param("c", marks=needs_c)]
 
 
 def constraint_ids(kernel) -> dict[str, int]:
@@ -130,6 +137,14 @@ class TestEnumerationRegressions:
         assert all(is_associative(t).holds for t in left_bol_9.representatives)
         assert (left_bol_9.stats.nodes, left_bol_9.stats.iso_prunes) == (44354, 13261)
 
+    @needs_c
+    def test_order7_loop_count_anchor(self):
+        # the published order-7 count; the counters pin the search tree
+        kc = get_kernel("c")
+        out = kc.run(7, kc.CONSTRAINT_NONE)
+        assert len(out["tables"]) == LOOP_COUNTS[7]
+        assert (out["nodes"], out["iso_prunes"], out["leaves"]) == (1162323, 38086, 31372)
+
     def test_right_bol_8_output_pinned(self, right_bol_8):
         assert output_pin(right_bol_8) == OUTPUT_PINS["right-bol", 8]
 
@@ -161,7 +176,34 @@ class TestEnumerationRegressions:
             assert len(set(forms)) == len(forms)
 
 
+@pytest.fixture(scope="module")
+def brute_force_forms(all_loops_upto_6, left_bol_upto_8):
+    """(seeded random relabeling, order, brute-force canonical form) triples.
+
+    Every order-6 class and every order-8 left Bol class, plus Z2^3 and
+    Z2 x Z4 under three relabelings each: they have the widest row-1 ties
+    at order 8, so the least-image walk branches most on them.
+    """
+    rng = random.Random(2007)
+    z2 = cyclic(2)
+    wide = [direct_product(z2, direct_product(z2, z2)), direct_product(z2, cyclic(4))]
+    tables = [*all_loops_upto_6[6], *left_bol_upto_8[8], *wide, *wide, *wide]
+    cases = []
+    for t in tables:
+        n = t.order
+        relabeled = t.normalized().relabel([0] + rng.sample(range(1, n), n - 1))
+        form = naive_canonical_form(relabeled.rows)
+        cases.append((relabeled.flat_bytes(), n, bytes(v for row in form for v in row)))
+    return cases
+
+
 class TestCanonicalForm:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_forms_match_brute_force(self, backend, brute_force_forms):
+        kernel = get_kernel(backend)
+        for flat, n, form in brute_force_forms:
+            assert kernel.canonical_form_bytes(flat, n) == form
+
     def test_z3_already_minimal(self):
         z3 = cyclic(3)
         assert canonical_form(z3) == z3
@@ -262,10 +304,15 @@ class TestDeterminismAndBudgets:
         with pytest.raises(OrderTooLargeForExact):
             enumerate_loops(SearchSpec(order=11))
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["python", pytest.param("c", marks=pytest.mark.skipif(not HAS_C, reason="no C kernel"))],
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_canonical_form_refuses_bad_tables(self, backend):
+        kernel = get_kernel(backend)
+        with pytest.raises(ValueError, match="wrong size"):
+            kernel.canonical_form_bytes(bytes(5), 2)
+        with pytest.raises(ValueError, match="outside"):
+            kernel.canonical_form_bytes(bytes([0, 1, 1, 9]), 2)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_kernel_refuses_unknown_constraint_id(self, backend):
         # 2 was the right Bol id; running it as another search would be silent
         kernel = get_kernel(backend)
@@ -363,9 +410,7 @@ class TestFindFirst:
         assert result.exhausted
 
 
-@pytest.mark.skipif(
-    not HAS_C, reason="compiled kernel not built; run `python setup.py build_ext --inplace`"
-)
+@needs_c
 class TestKernelParity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("constraint", KERNEL_CONSTRAINT_IDS)
@@ -450,7 +495,7 @@ class TestBruckConstruction:
         assert bruck21.order == 21
         assert is_left_bol(bruck21).holds
         assert not is_associative(bruck21).holds
-        assert bruck21.has_two_sided_inverses()
+        assert has_two_sided_inverses(bruck21).holds
 
     def test_even_order_rejected(self):
         with pytest.raises(EvenOrder):
