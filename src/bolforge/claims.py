@@ -39,7 +39,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LoopError, ManifestNotFound
 from .props import (
@@ -360,6 +360,19 @@ class CorpusReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def _parse_entries(
+    entries: Iterable[tuple[str, Path]], errors: dict[str, str]
+) -> Iterator[tuple[str, LoopTable]]:
+    """Parse manifest entries one at a time, recording failures in ``errors``."""
+    for loop_id, file_path in entries:
+        try:
+            table = parse_loop(file_path.read_text())
+        except (OSError, LoopError) as exc:
+            errors[loop_id] = str(exc)
+            continue
+        yield loop_id, table
+
+
 def run_corpus(
     manifest: str | Path | None,
     claims: Sequence[str] | None = None,
@@ -368,23 +381,23 @@ def run_corpus(
     """Run the selected claims (default: all) over every loop of a corpus.
 
     A corpus is either a manifest file or an explicit iterable of
-    (loop id, table) pairs.  Per-file parse failures are collected in
-    the report instead of aborting the run.  Verdicts do not depend on
-    iteration order; report entries are sorted by loop id on emission.
+    (loop id, table) pairs.  A manifest is streamed: each file is
+    parsed, checked and dropped before the next is read, so one table
+    (with the mirror and scans it keeps) is in memory at a time.
+    Per-file parse failures are collected in the report instead of
+    aborting the run.  An empty or unknown claim selection is refused
+    before any loop is read.  Verdicts do not depend on iteration
+    order; report entries are sorted by loop id on emission.
     """
     selected = list(claims) if claims is not None else list(CLAIM_IDS)
+    if not selected:
+        raise ValueError(f"no claim selected; known: {', '.join(CLAIM_IDS)}")
     for claim in selected:
         if claim not in CLAIM_CHECKS:
             raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     report = CorpusReport()
     if tables is None:
-        loaded: list[tuple[str, LoopTable]] = []
-        for loop_id, file_path in read_manifest(manifest):
-            try:
-                loaded.append((loop_id, parse_loop(file_path.read_text())))
-            except (OSError, LoopError) as exc:
-                report.parse_errors[loop_id] = str(exc)
-        tables = loaded
+        tables = _parse_entries(read_manifest(manifest), report.parse_errors)
     for loop_id, table in tables:
         report.verdicts[loop_id] = {
             claim: CLAIM_CHECKS[claim](table, loop_id) for claim in selected

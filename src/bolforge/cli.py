@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a verification claim was REFUTED; 2 bad input
-(parse errors, bad flags, missing files); 3 a search budget was
+(parse errors, bad flags, missing files, an empty claim selection, an
+``--out`` file that cannot be written); 3 a search budget was
 exhausted before the tree was covered; 4 find mode exhausted the space
 without a witness.
 
@@ -58,9 +59,21 @@ def _load_loop(path: str) -> LoopTable:
         raise LoopError(f"cannot read {path}: {exc}")
 
 
+def _check_out_file(out: str) -> None:
+    """Refuse, before any work is done, an --out path that cannot be a file."""
+    path = Path(out)
+    if path.is_dir():
+        raise LoopError(f"cannot write {out}: it is a directory")
+    if not path.parent.is_dir():
+        raise LoopError(f"cannot write {out}: {path.parent} is not a directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise LoopError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -104,8 +117,10 @@ def cmd_center(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out:
+        _check_out_file(args.out)
     claims = None
-    if args.claims:
+    if args.claims is not None:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     try:
         report = run_corpus(args.manifest, claims=claims)

@@ -5,6 +5,13 @@ target orders are small, at most a few tens of thousands of triples) so
 verdicts are exact and deterministic.  Failed verdicts carry the
 lexicographically first violating tuples, at most three, each of which
 re-evaluates to a violation on the table it was produced from.
+
+The left Bol identity is scanned once per table: one pass records the
+witnesses and the Bol elements, and ``LoopTable`` keeps the result, so
+``is_left_bol`` and ``bol_elements`` read the same scan however often
+they are called.  The mirror (``LoopTable.transpose``) is also built
+once per table, so ``is_right_bol`` and ``is_moufang`` share one scan of
+it.
 """
 
 from __future__ import annotations
@@ -38,24 +45,48 @@ def _fails(witnesses: list[tuple], note: str = "") -> Verdict:
 # -- identities ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _LeftBolScan:
+    witnesses: tuple[tuple[int, int, int], ...]
+    bol_elements: tuple[int, ...]
+
+
+def _scan_left_bol(rows: tuple[tuple[int, ...], ...]) -> _LeftBolScan:
+    """One pass of x(y * xz) = (x * yx)z over all (x, y, z) in lexicographic order.
+
+    Records the first MAX_WITNESSES failing triples and the Bol
+    elements, the x with no failing (y, z).  Once the witness quota is
+    full, each x is scanned only up to its first failure.  For fixed x
+    and y the z column runs inside ``bytes.translate``: row x mapped
+    through row y and then row x again is x(y * xz) for z = 0..n-1.
+    ``LoopTable._left_bol_scan`` runs this once per table.
+    """
+    n = len(rows)
+    flat = [bytes(r) for r in rows]
+    maps = [r + bytes(256 - n) for r in flat]  # translate() takes 256-entry tables
+    witnesses: list[tuple[int, int, int]] = []
+    bol = []
+    for x, rx in enumerate(rows):
+        holds = True
+        for y, ry in enumerate(rows):
+            lhs = flat[x].translate(maps[y]).translate(maps[x])
+            rhs = flat[rx[ry[x]]]
+            if lhs == rhs:
+                continue
+            holds = False
+            failing = [(x, y, z) for z in range(n) if lhs[z] != rhs[z]]
+            witnesses += failing[: MAX_WITNESSES - len(witnesses)]
+            if len(witnesses) == MAX_WITNESSES:
+                break
+        if holds:
+            bol.append(x)
+    return _LeftBolScan(tuple(witnesses), tuple(bol))
+
+
 def is_left_bol(table: LoopTable) -> Verdict:
     """x(y * xz) = (x * yx)z for all x, y, z."""
-    rows = table.rows
-    n = len(rows)
-    wit: list[tuple] = []
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            ry = rows[y]
-            yx = ry[x]
-            x_yx = rx[yx]
-            r_lhs_outer = rows[x_yx]
-            for z in range(n):
-                if rx[ry[rx[z]]] != r_lhs_outer[z]:
-                    wit.append((x, y, z))
-                    if len(wit) == MAX_WITNESSES:
-                        return _fails(wit)
-    return Verdict(True) if not wit else _fails(wit)
+    witnesses = table._left_bol_scan.witnesses
+    return Verdict(True) if not witnesses else _fails(witnesses)
 
 
 def is_right_bol(table: LoopTable) -> Verdict:
@@ -63,7 +94,7 @@ def is_right_bol(table: LoopTable) -> Verdict:
 
     This is the left Bol identity of the opposite loop (the transposed
     table) with the same (x, y, z), so the witnesses are those of
-    ``is_left_bol`` on the transpose.
+    ``is_left_bol`` on the transpose, which the table builds once.
     """
     return is_left_bol(table.transpose())
 
@@ -200,25 +231,8 @@ def center(table: LoopTable) -> tuple[int, ...]:
 
 
 def bol_elements(table: LoopTable) -> tuple[int, ...]:
-    """Elements a with a(x * ay) = (a * xa)y for all x, y."""
-    rows = table.rows
-    n = len(rows)
-    out = []
-    for a in range(n):
-        ra = rows[a]
-        ok = True
-        for x in range(n):
-            rx = rows[x]
-            r_outer = rows[ra[rx[a]]]
-            for y in range(n):
-                if ra[rx[ra[y]]] != r_outer[y]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(a)
-    return tuple(out)
+    """Elements a with a(x * ay) = (a * xa)y for all x, y: the x = a slice of the left Bol scan."""
+    return table._left_bol_scan.bol_elements
 
 
 def generated_subloop(table: LoopTable, seed: Iterable[int] = ()) -> tuple[int, ...]:

@@ -134,6 +134,14 @@ class LoopTable:
                 out[a][b] = y
         return tuple(tuple(r) for r in out)
 
+    @cached_property
+    def _left_bol_scan(self):
+        # the table's one left Bol scan, read by props.is_left_bol and
+        # props.bol_elements; imported here because props imports this module
+        from .props import _scan_left_bol
+
+        return _scan_left_bol(self.rows)
+
     def ldiv(self, a: int, b: int) -> int:
         """The unique x with a*x = b."""
         self._check_index(a)
@@ -226,7 +234,11 @@ class LoopTable:
         return self.relabel(perm)
 
     def transpose(self) -> "LoopTable":
-        """The mirror loop with the opposite product a*b := b*a."""
+        """The mirror loop with the opposite product a*b := b*a, built once per table."""
+        return self._transpose
+
+    @cached_property
+    def _transpose(self) -> "LoopTable":
         return LoopTable(tuple(zip(*self.rows)), self.identity)
 
     def restricted(self, members: Iterable[int]) -> "LoopTable":

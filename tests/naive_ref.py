@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without the package's search
 machinery: brute-force generation, pairwise isomorphism and canonical
-form by permutation trial, and bracketing enumeration.  Keep it that
+form by permutation trial, the left Bol identity over all triples, and
+bracketing enumeration.  Keep it that
 way - these functions exist to cross-check the fast paths, so they must
 not share code with them.
 """
@@ -60,6 +61,18 @@ def naive_canonical_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     """Least image of a normalized table over every identity-fixing map."""
     n = len(rows)
     return min(relabel_rows(rows, (0,) + tail) for tail in permutations(range(1, n)))
+
+
+def left_bol_failures(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+    """Every (x, y, z) with x(y(xz)) != (x(yx))z, in lexicographic order."""
+    n = len(rows)
+    return [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if rows[x][rows[y][rows[x][z]]] != rows[rows[x][rows[y][x]]][z]
+    ]
 
 
 def iso_classes(tables) -> list[tuple[tuple[int, ...], ...]]:

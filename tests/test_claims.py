@@ -4,6 +4,7 @@ import pytest
 
 from bolforge import (
     CLAIM_IDS,
+    LoopTable,
     ManifestNotFound,
     check_all,
     check_corollary,
@@ -17,8 +18,10 @@ from bolforge import (
     is_moufang,
     is_right_bol,
     parse_loop,
+    property_report,
     run_corpus,
 )
+from bolforge import claims, props
 from bolforge.catalog import cyclic, klein_four, symmetric_3
 from bolforge.claims import CLAIM_CHECKS, HYPOTHESIS_NOT_MET, REFUTED, VERIFIED
 
@@ -202,6 +205,21 @@ class TestCheckAll:
         assert [v.claim for v in verdicts] == list(CLAIM_IDS)
         assert all(v.scope == "b21" for v in verdicts)
 
+    def test_one_left_bol_scan_per_table_and_mirror(self, bruck21, monkeypatch):
+        table = LoopTable(bruck21.rows, bruck21.identity)  # no scan kept from other tests
+        scanned = []
+        scan = props._scan_left_bol
+
+        def counting_scan(rows):
+            scanned.append(rows)
+            return scan(rows)
+
+        monkeypatch.setattr(props, "_scan_left_bol", counting_scan)
+        check_all(table)
+        property_report(table)
+        assert table.transpose() is table.transpose()
+        assert scanned == [table.rows, table.transpose().rows]
+
     def test_no_refutations_on_corpus(self, corpus):
         for loop_id, t in corpus:
             for verdict in check_all(t, loop_id):
@@ -250,6 +268,32 @@ class TestCorpusRuns:
         path.write_text("")
         with pytest.raises(ValueError):
             run_corpus(path, claims=["LEMMA3"])
+
+    def test_empty_claim_selection(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("")
+        with pytest.raises(ValueError, match="no claim selected"):
+            run_corpus(path, claims=[])
+
+    def test_manifest_streamed_one_loop_at_a_time(self, tmp_path, monkeypatch):
+        path = self._write_corpus(tmp_path, [("z3.loop", cyclic(3)), ("s3.loop", symmetric_3())])
+        (tmp_path / "bad.loop").write_text("junk")
+        path.write_text("z3.loop\nbad.loop\ns3.loop\n")
+        events = []
+
+        def parse(text):
+            events.append("parse")
+            return parse_loop(text)
+
+        def check(table, scope=""):
+            events.append(f"check {scope}")
+            return check_lemma1(table, scope)
+
+        monkeypatch.setattr(claims, "parse_loop", parse)
+        monkeypatch.setitem(claims.CLAIM_CHECKS, "LEMMA1", check)
+        report = run_corpus(path, claims=["LEMMA1"])
+        assert events == ["parse", "check z3.loop", "parse", "parse", "check s3.loop"]
+        assert list(report.parse_errors) == ["bad.loop"]
 
     def test_claim_subset(self, tmp_path):
         path = self._write_corpus(tmp_path, [("z5.loop", cyclic(5))])

@@ -71,6 +71,11 @@ class TestProps:
         assert main(["props", str(z3_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["loop"] == str(z3_file)
 
+    def test_out_directory_exit_2(self, z3_file, tmp_path, capsys):
+        assert main(["props", str(z3_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
 
 class TestSets:
     def test_commutant(self, tmp_path, capsys):
@@ -115,6 +120,28 @@ class TestVerify:
 
     def test_unknown_claim_exit_2(self, manifest):
         assert main(["verify", str(manifest), "--claims", "LEMMA9"]) == 2
+
+    @pytest.mark.parametrize("claims", [",", ""])
+    def test_empty_claim_selection_exit_2(self, manifest, capsys, claims):
+        assert main(["verify", str(manifest), "--claims", claims]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no claim selected") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", [".", "missing/report.json"], ids=["directory", "missing-parent"])
+    def test_unwritable_out_exit_2_before_run(self, manifest, monkeypatch, capsys, out):
+        # exit 1 would mean a claim was REFUTED; the corpus must not even run
+        import bolforge.cli as cli_mod
+
+        def not_run(*args, **kwargs):
+            raise AssertionError("corpus ran although --out cannot be written")
+
+        monkeypatch.setattr(cli_mod, "run_corpus", not_run)
+        target = manifest.parent / out
+        assert main(["verify", str(manifest), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+        assert not (manifest.parent / "missing").exists()
 
     def test_refuted_exit_1(self, manifest, monkeypatch, capsys):
         # fault injection: a corrupted checker must fail the run
@@ -279,6 +306,12 @@ class TestConstructAndCanon:
         out = tmp_path / "canon.loop"
         assert main(["canon", str(z3_file), "--out", str(out)]) == 0
         assert parse_loop(out.read_text()) == cyclic(3)
+
+    def test_canon_out_under_missing_directory_exit_2(self, z3_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "canon.loop"
+        assert main(["canon", str(z3_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_process_pool_unloaded():

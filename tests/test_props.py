@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ from bolforge.catalog import cyclic, klein_four, symmetric_3
 from bolforge.props import MAX_WITNESSES, PROPERTY_ORDER
 
 from frozen import LOOP5_FIRST, LOOP6_NON_PA
-from naive_ref import all_bracketings
+from naive_ref import all_bracketings, left_bol_failures
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,28 @@ class TestBolIdentities:
             ]
             assert verdict.holds == (not violations)
             assert list(verdict.witnesses) == violations[:MAX_WITNESSES]
+
+    def test_one_scan_matches_brute_force(self, all_loops_upto_6, left_bol_upto_8, loop5):
+        tables = [t for reps in all_loops_upto_6.values() for t in reps]
+        tables += [t for reps in left_bol_upto_8.values() for t in reps]
+        tables.append(loop5)
+        # seeded relabelings that move the identity off 0, as in corpus files
+        rng = random.Random(8)
+        for t in (loop5, all_loops_upto_6[6][-1], left_bol_upto_8[8][-1], symmetric_3()):
+            perm = list(range(t.order))
+            while perm[t.identity] == 0:
+                rng.shuffle(perm)
+            relabeled = t.relabel(perm)
+            assert relabeled.identity != 0
+            tables.append(relabeled)
+        for t in tables:
+            failures = left_bol_failures(t.rows)
+            assert is_left_bol(t).holds == (not failures)
+            assert is_left_bol(t).witnesses == tuple(failures[:MAX_WITNESSES])
+            assert bol_elements(t) == tuple(x for x in t.elements if x not in {f[0] for f in failures})
+            mirrored = left_bol_failures(tuple(zip(*t.rows)))
+            assert is_right_bol(t).holds == (not mirrored)
+            assert is_right_bol(t).witnesses == tuple(mirrored[:MAX_WITNESSES])
 
     def test_bol_witness_reevaluates(self, loop5):
         x, y, z = is_left_bol(loop5).witnesses[0]
