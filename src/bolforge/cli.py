@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -68,12 +69,19 @@ def _check_out_file(out: str) -> None:
         raise LoopError(f"cannot write {out}: {path.parent} is not a directory")
 
 
+@contextmanager
+def _writing(out):
+    """Turn an OSError raised while writing ``out`` into one bad-input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise LoopError(f"cannot write {out}: {exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        try:
+        with _writing(out):
             Path(out).write_text(text)
-        except OSError as exc:
-            raise LoopError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -226,15 +234,12 @@ def cmd_construct(args) -> int:
     group = _load_loop(args.group)
     loop = construct_bruck_from_group(group)
     out = Path(args.out)
-    if out.suffix:  # explicit file path
+    if not out.suffix:  # a directory: the file is named by the table's hash
+        out = out / f"{loop.content_hash()[:16]}.loop"
+    with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(loop.serialize())
-        print(str(out))
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        name = f"{loop.content_hash()[:16]}.loop"
-        (out / name).write_text(loop.serialize())
-        print(str(out / name))
+    print(str(out))
     return EXIT_OK
 
 

@@ -12,6 +12,13 @@ witnesses and the Bol elements, and ``LoopTable`` keeps the result, so
 they are called.  The mirror (``LoopTable.transpose``) is also built
 once per table, so ``is_right_bol`` and ``is_moufang`` share one scan of
 it.
+
+The Bol scan and ``center`` compare whole rows as bytes, mapping a row
+through another with ``bytes.translate`` (``_pad`` builds its 256-entry
+tables).  ``is_normal`` labels each element with its left coset and
+decides normality by comparing the labelled rows and columns of the
+table; only a subloop that this rejects goes through the exhaustive
+coset scan, which is what produces the witnesses.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ def _fails(witnesses: list[tuple], note: str = "") -> Verdict:
     return Verdict(False, tuple(witnesses[:MAX_WITNESSES]), note)
 
 
+def _pad(row: bytes) -> bytes:
+    """The 256-entry table ``bytes.translate`` takes, mapping v to row[v] for v < n."""
+    return row + bytes(256 - len(row))
+
+
 # -- identities ------------------------------------------------------------
 
 
@@ -63,7 +75,7 @@ def _scan_left_bol(rows: tuple[tuple[int, ...], ...]) -> _LeftBolScan:
     """
     n = len(rows)
     flat = [bytes(r) for r in rows]
-    maps = [r + bytes(256 - n) for r in flat]  # translate() takes 256-entry tables
+    maps = [_pad(r) for r in flat]
     witnesses: list[tuple[int, int, int]] = []
     bol = []
     for x, rx in enumerate(rows):
@@ -208,24 +220,23 @@ def commutant(table: LoopTable) -> tuple[int, ...]:
 
 
 def center(table: LoopTable) -> tuple[int, ...]:
-    """Commutant elements that associate with all pairs in all three positions."""
+    """Commutant elements that associate with all pairs in all three positions.
+
+    For a commutant element a and each x, two whole-row comparisons
+    decide a(xy) = (ax)y and x(ay) = (xa)y for every y.  The third
+    position follows from these, because a commutes with every element:
+    (xy)a = a(xy) = (ax)y = (xa)y = x(ay) = x(ya).
+    """
     rows = table.rows
-    n = len(rows)
+    flat = [bytes(r) for r in rows]
+    maps = [_pad(r) for r in flat]
     out = []
     for a in commutant(table):
-        ra = rows[a]
-        ok = True
-        for x in range(n):
-            rx = rows[x]
-            rxa = rows[rx[a]]
-            rax = rows[ra[x]]
-            for y in range(n):
-                if ra[rx[y]] != rax[y] or rx[ra[y]] != rxa[y] or rows[rx[y]][a] != rx[rows[y][a]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        ra, rowa, mapa = rows[a], flat[a], maps[a]
+        if all(
+            flat[x].translate(mapa) == flat[ra[x]] and rowa.translate(maps[x]) == flat[rows[x][a]]
+            for x in range(len(rows))
+        ):
             out.append(a)
     return tuple(out)
 
@@ -291,12 +302,56 @@ def is_subloop(table: LoopTable, members: Iterable[int]) -> Verdict:
     return Verdict(True) if not wit else _fails(wit)
 
 
+def _normal_by_labels(rows: tuple[tuple[int, ...], ...], sub: list[int]) -> bool:
+    """Whether the subloop S = ``sub`` is normal, decided on left coset labels.
+
+    Label each v with lab[v], the least w such that v is in wS, and
+    require for all x, y and s in S:
+
+    (A) lab[x(ys)] = lab[xy]: columns ys and y of the table agree under lab;
+    (B) lab[(sx)y] = lab[xy]: rows sx and x of the table agree under lab.
+
+    These hold exactly when S is normal.  (A) at x = e says lab is
+    constant on every left coset; then the label classes are the left
+    cosets, which partition the loop into classes of |S| elements, vS
+    being the class of v.  (B) at y = e gives Sx inside xS, (A) gives
+    x(yS) inside (xy)S, and (B) gives (Sx)y inside (xy)S, which is S(xy)
+    by the first.  Each left side has |S| distinct elements, so each
+    inclusion is the equality normality asks for.  Conversely, the left
+    cosets of a normal S partition the loop (v = xs gives vS = x(sS) =
+    xS), and the three identities give (A) and (B).
+
+    The partition and xS = Sx are thus the x = e and y = e cases of (A)
+    and (B), and need no check of their own.
+    """
+    n = len(rows)
+    lab = [0] * n
+    for w in reversed(range(n)):  # the least w writes last
+        for s in sub:
+            lab[rows[w][s]] = w
+    labelled = b"".join(bytes(r) for r in rows).translate(_pad(bytes(lab)))
+    lrow = [labelled[i * n : (i + 1) * n] for i in range(n)]
+    lcol = [labelled[j::n] for j in range(n)]
+    return all(lcol[rows[y][s]] == lcol[y] for y in range(n) for s in sub) and all(
+        lrow[rows[s][x]] == lrow[x] for s in sub for x in range(n)
+    )
+
+
 def is_normal(table: LoopTable, members: Iterable[int]) -> Verdict:
-    """Normality of a subloop: xS = Sx, x(yS) = (xy)S, (Sx)y = S(xy) as sets."""
+    """Normality of a subloop: xS = Sx, x(yS) = (xy)S, (Sx)y = S(xy) as sets.
+
+    Decided on left coset labels (``_normal_by_labels``), with two byte
+    comparisons per (element, member) pair and one ``bytes.translate``
+    of the table.  A subloop the labels reject falls through to the
+    exhaustive scan over coset sets, which yields the lexicographically
+    first witnesses; no set is built for a normal subloop.
+    """
     sub = sorted(set(members))
     if not is_subloop(table, sub).holds:
         raise NotASubloop(f"{sub} is not a subloop")
     rows = table.rows
+    if _normal_by_labels(rows, sub):
+        return Verdict(True)
     n = len(rows)
     wit: list[tuple] = []
     cosets_left = [frozenset(rows[x][s] for s in sub) for x in range(n)]   # xS

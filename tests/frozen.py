@@ -10,6 +10,13 @@ Derivations (re-checked by the tests that use them):
   fails power-associativity; the bracketings of the fourth power of
   element 2 take the two values {2, 3} (bracketing oracle), and the
   generated-subloop route reports associativity witness (2, 2, 4).
+* LOOP8_NUCLEAR_INVOLUTION - element 1 is an involution that commutes
+  with every element and lies in the left nucleus ((1x)y = 1(xy)), so
+  S = {0, 1} satisfies xS = Sx and (Sx)y = S(xy); but 4(4 * 1) = 2 is
+  not in (4 * 4)S = {0, 1}, so x(yS) = (xy)S fails and S is not normal
+  (set-definition oracle).  Its center is {0, 3}.  Found by a search
+  over order-8 tables whose rows 1, 3, 5 and 7 are rows 0, 2, 4 and 6
+  mapped through 0<->1, 2<->3, 4<->5, 6<->7.
 * Class counts: unconstrained 1,1,1,2,6 for orders 1..5 match the
   generate-filter-partition oracle; 109 at order 6, group counts, and
   Bol counts were derived by exhaustive enumeration, cross-checked by
@@ -35,6 +42,11 @@ Derivations (re-checked by the tests that use them):
 LOOP5_FIRST = "5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n"
 
 LOOP6_NON_PA = "6\n0 1 2 3 4 5\n1 0 3 2 5 4\n2 3 4 5 0 1\n3 2 5 4 1 0\n4 5 0 1 3 2\n5 4 1 0 2 3\n"
+
+LOOP8_NUCLEAR_INVOLUTION = (
+    "8\n0 1 2 3 4 5 6 7\n1 0 3 2 5 4 7 6\n2 3 0 1 6 7 4 5\n3 2 1 0 7 6 5 4\n"
+    "4 5 6 7 0 2 1 3\n5 4 7 6 1 3 0 2\n6 7 4 5 2 0 3 1\n7 6 5 4 3 1 2 0\n"
+)
 
 LOOP_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 109, 7: 23746}
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without the package's search
 machinery: brute-force generation, pairwise isomorphism and canonical
-form by permutation trial, the left Bol identity over all triples, and
-bracketing enumeration.  Keep it that
+form by permutation trial, the left Bol identity over all triples,
+normality and the center by their set definitions, and bracketing
+enumeration.  Keep it that
 way - these functions exist to cross-check the fast paths, so they must
 not share code with them.
 """
@@ -73,6 +74,43 @@ def left_bol_failures(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, int,
         for z in range(n)
         if rows[x][rows[y][rows[x][z]]] != rows[rows[x][rows[y][x]]][z]
     ]
+
+
+def naive_is_normal(rows: tuple[tuple[int, ...], ...], sub) -> tuple[bool, tuple[tuple, ...], str]:
+    """(holds, first three witnesses, note) of xS = Sx, x(yS) = (xy)S, (Sx)y = S(xy).
+
+    Witnesses come in the order the identities are listed: every failing
+    ("xS=Sx", x) by x, then the failing pairs (x, y) in lexicographic
+    order, the x(yS) identity before the (Sx)y one for each pair.
+    """
+    n = len(rows)
+    members = set(sub)
+    failures: list[tuple] = []
+    for x in range(n):
+        if {rows[x][s] for s in members} != {rows[s][x] for s in members}:
+            failures.append(("xS=Sx", x))
+    for x in range(n):
+        for y in range(n):
+            xy = rows[x][y]
+            if {rows[x][rows[y][s]] for s in members} != {rows[xy][s] for s in members}:
+                failures.append(("x(yS)=(xy)S", x, y))
+            if {rows[rows[s][x]][y] for s in members} != {rows[s][xy] for s in members}:
+                failures.append(("(Sx)y=S(xy)", x, y))
+    return (not failures, tuple(failures[:3]), "")
+
+
+def naive_center(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Elements a commuting with every x and associating in all three positions."""
+    n = len(rows)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    return tuple(
+        a
+        for a in range(n)
+        if all(rows[a][x] == rows[x][a] for x in range(n))
+        and all(rows[a][rows[x][y]] == rows[rows[a][x]][y] for x, y in pairs)
+        and all(rows[x][rows[a][y]] == rows[rows[x][a]][y] for x, y in pairs)
+        and all(rows[rows[x][y]][a] == rows[x][rows[y][a]] for x, y in pairs)
+    )
 
 
 def iso_classes(tables) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -219,6 +220,15 @@ class TestCheckAll:
         property_report(table)
         assert table.transpose() is table.transpose()
         assert scanned == [table.rows, table.transpose().rows]
+
+    def test_corpus_report_pinned(self, corpus):
+        # golden digest of the whole claim report, taken at commit d0e4060:
+        # a claim-layer change cannot move a verdict or witness silently
+        report = run_corpus(None, tables=corpus)
+        assert len(report.verdicts) == 149
+        assert [report.totals[s] for s in (VERIFIED, HYPOTHESIS_NOT_MET, REFUTED)] == [461, 1029, 0]
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "d35e1095d095a722e34b18eb17a495868589849b780b64bc1bbb71a91e008dc1"
 
     def test_no_refutations_on_corpus(self, corpus):
         for loop_id, t in corpus:

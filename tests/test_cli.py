@@ -295,6 +295,15 @@ class TestConstructAndCanon:
         group_file.write_text(cyclic(4).serialize())
         assert main(["construct", "--group", str(group_file), "--out", str(tmp_path / "o.loop")]) == 2
 
+    @pytest.mark.parametrize("under", ["x.loop", "sub"])
+    def test_construct_out_under_a_file_exit_2(self, z3_file, capsys, under):
+        # x.loop: the parent is a file (FileExistsError); sub: a directory
+        # to create below a file (NotADirectoryError)
+        out = z3_file / under
+        assert main(["construct", "--group", str(z3_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
     def test_canon_roundtrip(self, tmp_path, capsys):
         shifted = cyclic(3).relabel([1, 0, 2])
         path = tmp_path / "shifted.loop"

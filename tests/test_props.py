@@ -29,11 +29,11 @@ from bolforge import (
     square_root,
     square_roots,
 )
-from bolforge.catalog import cyclic, klein_four, symmetric_3
+from bolforge.catalog import cyclic, direct_product, klein_four, symmetric_3
 from bolforge.props import MAX_WITNESSES, PROPERTY_ORDER
 
-from frozen import LOOP5_FIRST, LOOP6_NON_PA
-from naive_ref import all_bracketings, left_bol_failures
+from frozen import LOOP5_FIRST, LOOP6_NON_PA, LOOP8_NUCLEAR_INVOLUTION
+from naive_ref import all_bracketings, left_bol_failures, naive_center, naive_is_normal
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +274,31 @@ class TestSubsetPredicates:
         for t in left_bol_upto_8[8]:
             assert is_normal(t, (t.identity,)).holds
             assert is_normal(t, center(t)).holds
+
+    def test_normal_and_center_match_brute_force(
+        self, all_loops_upto_6, left_bol_upto_8, loop5, loop6_non_pa
+    ):
+        tables = [t for reps in all_loops_upto_6.values() for t in reps]
+        tables += [t for reps in left_bol_upto_8.values() for t in reps]  # with the 5 groups of order 8
+        tables.append(direct_product(symmetric_3(), symmetric_3()))
+        tables.append(parse_loop(LOOP8_NUCLEAR_INVOLUTION))
+        # seeded relabelings that move the identity off 0, as in corpus files
+        rng = random.Random(9)
+        for t in (loop5, loop6_non_pa, all_loops_upto_6[6][-1], left_bol_upto_8[8][-1], symmetric_3()):
+            perm = list(range(t.order))
+            while perm[t.identity] == 0:
+                rng.shuffle(perm)
+            tables.append(t.relabel(perm))
+        checked = non_normal = 0
+        for t in tables:
+            assert center(t) == naive_center(t.rows)
+            subloops = {generated_subloop(t, (a, b)) for a in t.elements for b in t.elements if a <= b}
+            for sub in sorted(subloops):
+                verdict = is_normal(t, sub)
+                assert (verdict.holds, verdict.witnesses, verdict.note) == naive_is_normal(t.rows, sub)
+                checked += 1
+                non_normal += not verdict.holds
+        assert (checked, non_normal) == (602, 214)
 
     def test_normal_requires_subloop(self):
         with pytest.raises(NotASubloop):
