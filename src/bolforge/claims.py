@@ -65,7 +65,6 @@ REFUTED = "REFUTED"
 class ClaimVerdict:
     claim: str
     status: str
-    scope: str = ""
     detail: str = ""
     witness: tuple = ()
 
@@ -78,55 +77,55 @@ class ClaimVerdict:
         return out
 
 
-def _verified(claim: str, scope: str, detail: str = "") -> ClaimVerdict:
-    return ClaimVerdict(claim, VERIFIED, scope, detail)
+def _verified(claim: str, detail: str = "") -> ClaimVerdict:
+    return ClaimVerdict(claim, VERIFIED, detail)
 
 
-def _not_met(claim: str, scope: str, hypothesis: str, witness: tuple = ()) -> ClaimVerdict:
-    return ClaimVerdict(claim, HYPOTHESIS_NOT_MET, scope, hypothesis, witness)
+def _not_met(claim: str, hypothesis: str, witness: tuple = ()) -> ClaimVerdict:
+    return ClaimVerdict(claim, HYPOTHESIS_NOT_MET, hypothesis, witness)
 
 
-def _refuted(claim: str, scope: str, detail: str, witness: tuple) -> ClaimVerdict:
-    return ClaimVerdict(claim, REFUTED, scope, detail, witness)
+def _refuted(claim: str, detail: str, witness: tuple) -> ClaimVerdict:
+    return ClaimVerdict(claim, REFUTED, detail, witness)
 
 
-def check_lemma1(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_lemma1(table: LoopTable) -> ClaimVerdict:
     """Squares, inverses, and square-times-member closure of the commutant."""
     claim = "LEMMA1"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     members = commutant(table)
     cset = set(members)
     rows = table.rows
     for a in members:
         if rows[a][a] not in cset:
-            return _refuted(claim, scope, "square left the commutant", ("square", a))
+            return _refuted(claim, "square left the commutant", ("square", a))
         if table.inverse(a) not in cset:
-            return _refuted(claim, scope, "inverse left the commutant", ("inverse", a))
+            return _refuted(claim, "inverse left the commutant", ("inverse", a))
     for a in members:
         sq = rows[a][a]
         for b in members:
             if rows[sq][b] not in cset:
                 return _refuted(
-                    claim, scope, "square-times-member left the commutant", ("square-mul", a, b)
+                    claim, "square-times-member left the commutant", ("square-mul", a, b)
                 )
-    return _verified(claim, scope)
+    return _verified(claim)
 
 
-def check_lemma2(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_lemma2(table: LoopTable) -> ClaimVerdict:
     """Generated subloops of commutant elements stay inside the commutant."""
     claim = "LEMMA2"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     cset = set(commutant(table))
     for a in sorted(cset):
         for v in generated_subloop(table, (a,)):
             if v not in cset:
-                return _refuted(claim, scope, "generated subloop left the commutant", (a, v))
-    return _verified(claim, scope)
+                return _refuted(claim, "generated subloop left the commutant", (a, v))
+    return _verified(claim)
 
 
-def check_theorem1(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_theorem1(table: LoopTable) -> ClaimVerdict:
     """Odd-order commutant of a left Bol loop is a subloop, with proof re-enactment.
 
     The re-enactment computes, for each commutant member a of order k,
@@ -139,68 +138,66 @@ def check_theorem1(table: LoopTable, scope: str = "") -> ClaimVerdict:
     """
     claim = "THEOREM1"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     members = commutant(table)
     orders = {a: table.element_order(a) for a in members}
     for a in members:
         if orders[a] % 2 == 0:
-            return _not_met(claim, scope, "even-order commutant element", (a,))
+            return _not_met(claim, "even-order commutant element", (a,))
     closure = is_subloop(table, members)
     if not closure.holds:
-        return _refuted(claim, scope, "commutant is not a subloop", closure.witnesses[0])
+        return _refuted(claim, "commutant is not a subloop", closure.witnesses[0])
     cset = set(members)
     rows = table.rows
     for a in members:
         k = orders[a]
         c = table.power(a, (k + 1) // 2)
         if rows[c][c] != a:
-            return _refuted(claim, scope, "half power does not square back", (a, c))
+            return _refuted(claim, "half power does not square back", (a, c))
         if c not in cset:
-            return _refuted(claim, scope, "square root left the commutant", (a, c))
+            return _refuted(claim, "square root left the commutant", (a, c))
         others = [d for d in members if rows[d][d] == a and d != c]
         if others:
-            return _refuted(
-                claim, scope, "square root not unique in the commutant", (a, c, others[0])
-            )
-    return _verified(claim, scope)
+            return _refuted(claim, "square root not unique in the commutant", (a, c, others[0]))
+    return _verified(claim)
 
 
-def check_corollary(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_corollary(table: LoopTable) -> ClaimVerdict:
     """Odd-order left Bol loops: all-odd element orders and commutant subloop."""
     claim = "COROLLARY"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     n = table.order
     if n % 2 == 1:
         for x in table.elements:
             if table.element_order(x) % 2 == 0:
-                return _refuted(claim, scope, "even-order element in an odd-order loop", (x,))
+                return _refuted(claim, "even-order element in an odd-order loop", (x,))
         closure = is_subloop(table, commutant(table))
         if not closure.holds:
-            return _refuted(claim, scope, "commutant is not a subloop", closure.witnesses[0])
-        return _verified(claim, scope, "odd order")
+            return _refuted(claim, "commutant is not a subloop", closure.witnesses[0])
+        return _verified(claim, "odd order")
     for x in table.elements:
         if table.element_order(x) % 2 == 0:
-            return _verified(claim, scope, "even order: an even-order element exists")
-    return _refuted(claim, scope, "even-order loop with all element orders odd", ())
+            return _verified(claim, "even order: an even-order element exists")
+    return _refuted(claim, "even-order loop with all element orders odd", ())
 
 
-def check_glauberman_parity(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_glauberman_parity(table: LoopTable) -> ClaimVerdict:
     """Odd loop order iff every element order is odd, on left Bol loops."""
     claim = "GLAUBERMAN_PARITY"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     evens = [x for x in table.elements if table.element_order(x) % 2 == 0]
     if table.order % 2 == 1:
         if evens:
-            return _refuted(claim, scope, "even-order element in an odd-order loop", (evens[0],))
-        return _verified(claim, scope, "odd order, all element orders odd")
+            return _refuted(claim, "even-order element in an odd-order loop", (evens[0],))
+        return _verified(claim, "odd order, all element orders odd")
     if not evens:
-        return _refuted(claim, scope, "even-order loop with all element orders odd", ())
-    return _verified(claim, scope, "even order, an even-order element exists")
+        return _refuted(claim, "even-order loop with all element orders odd", ())
+    return _verified(claim, "even order, an even-order element exists")
 
 
-def check_remark1_extension(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_remark1_extension(table: LoopTable) -> ClaimVerdict:
     """Odd-cardinality, inverse-and-x*yx-closed commutant is a subloop.
 
     The hypothesis reads the commutant's "order" as its cardinality, and
@@ -210,22 +207,22 @@ def check_remark1_extension(table: LoopTable, scope: str = "") -> ClaimVerdict:
     claim = "REMARK1_EXT"
     note = "commutant order read as cardinality"
     if not is_left_bol(table).holds:
-        return _not_met(claim, scope, "not left Bol")
+        return _not_met(claim, "not left Bol")
     members = commutant(table)
     twisted = is_twisted_closed(table, members)
     if not twisted.holds:
         return _not_met(
-            claim, scope, "commutant not closed under inverses and x*yx", twisted.witnesses[0]
+            claim, "commutant not closed under inverses and x*yx", twisted.witnesses[0]
         )
     if len(members) % 2 == 0:
-        return _not_met(claim, scope, f"commutant has even cardinality ({note})")
+        return _not_met(claim, f"commutant has even cardinality ({note})")
     closure = is_subloop(table, members)
     if not closure.holds:
-        return _refuted(claim, scope, "commutant is not a subloop", closure.witnesses[0])
-    return _verified(claim, scope, note)
+        return _refuted(claim, "commutant is not a subloop", closure.witnesses[0])
+    return _verified(claim, note)
 
 
-def check_remark2_extension(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_remark2_extension(table: LoopTable) -> ClaimVerdict:
     """Bol-elements-intersect-commutant with all-odd orders is a subloop.
 
     No Bol hypothesis on the loop itself; applies to arbitrary loops.
@@ -234,55 +231,51 @@ def check_remark2_extension(table: LoopTable, scope: str = "") -> ClaimVerdict:
     members = tuple(sorted(set(bol_elements(table)) & set(commutant(table))))
     for a in members:
         if table.element_order(a) % 2 == 0:
-            return _not_met(
-                claim, scope, "even-order member of the Bol-commutant intersection", (a,)
-            )
+            return _not_met(claim, "even-order member of the Bol-commutant intersection", (a,))
     closure = is_subloop(table, members)
     if not closure.holds:
-        return _refuted(
-            claim, scope, "Bol-commutant intersection is not a subloop", closure.witnesses[0]
-        )
-    return _verified(claim, scope)
+        return _refuted(claim, "Bol-commutant intersection is not a subloop", closure.witnesses[0])
+    return _verified(claim)
 
 
-def check_center_normal(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_center_normal(table: LoopTable) -> ClaimVerdict:
     """The center is a normal subloop of every loop."""
     claim = "CENTER_NORMAL"
     members = center(table)
     closure = is_subloop(table, members)
     if not closure.holds:
-        return _refuted(claim, scope, "center is not a subloop", closure.witnesses[0])
+        return _refuted(claim, "center is not a subloop", closure.witnesses[0])
     normal = is_normal(table, members)
     if not normal.holds:
-        return _refuted(claim, scope, "center is not normal", normal.witnesses[0])
-    return _verified(claim, scope)
+        return _refuted(claim, "center is not normal", normal.witnesses[0])
+    return _verified(claim)
 
 
-def check_group_coincidence(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_group_coincidence(table: LoopTable) -> ClaimVerdict:
     """Commutant equals center on associative loops."""
     claim = "GROUP_COINCIDENCE"
     if not is_associative(table).holds:
-        return _not_met(claim, scope, "not associative")
+        return _not_met(claim, "not associative")
     c = commutant(table)
     z = center(table)
     if c != z:
         diff = sorted(set(c) ^ set(z))
-        return _refuted(claim, scope, "commutant and center differ", (diff[0],))
-    return _verified(claim, scope)
+        return _refuted(claim, "commutant and center differ", (diff[0],))
+    return _verified(claim)
 
 
-def check_moufang_commutant(table: LoopTable, scope: str = "") -> ClaimVerdict:
+def check_moufang_commutant(table: LoopTable) -> ClaimVerdict:
     """The commutant of a Moufang loop is a subloop."""
     claim = "MOUFANG_COMMUTANT"
     if not is_moufang(table).holds:
-        return _not_met(claim, scope, "not Moufang")
+        return _not_met(claim, "not Moufang")
     closure = is_subloop(table, commutant(table))
     if not closure.holds:
-        return _refuted(claim, scope, "commutant is not a subloop", closure.witnesses[0])
-    return _verified(claim, scope)
+        return _refuted(claim, "commutant is not a subloop", closure.witnesses[0])
+    return _verified(claim)
 
 
-CLAIM_CHECKS: dict[str, Callable[[LoopTable, str], ClaimVerdict]] = {
+CLAIM_CHECKS: dict[str, Callable[[LoopTable], ClaimVerdict]] = {
     "LEMMA1": check_lemma1,
     "LEMMA2": check_lemma2,
     "THEOREM1": check_theorem1,
@@ -298,8 +291,8 @@ CLAIM_CHECKS: dict[str, Callable[[LoopTable, str], ClaimVerdict]] = {
 CLAIM_IDS = tuple(CLAIM_CHECKS)
 
 
-def check_all(table: LoopTable, scope: str = "") -> list[ClaimVerdict]:
-    return [CLAIM_CHECKS[claim](table, scope) for claim in CLAIM_IDS]
+def check_all(table: LoopTable) -> list[ClaimVerdict]:
+    return [CLAIM_CHECKS[claim](table) for claim in CLAIM_IDS]
 
 
 # -- corpus runs ----------------------------------------------------------------
@@ -399,7 +392,5 @@ def run_corpus(
     if tables is None:
         tables = _parse_entries(read_manifest(manifest), report.parse_errors)
     for loop_id, table in tables:
-        report.verdicts[loop_id] = {
-            claim: CLAIM_CHECKS[claim](table, loop_id) for claim in selected
-        }
+        report.verdicts[loop_id] = {claim: CLAIM_CHECKS[claim](table) for claim in selected}
     return report

@@ -13,7 +13,7 @@ timestamps) goes only to the stats sidecar.  A search refuses an output
 directory that already holds loop files or a stats sidecar, so outputs
 of two runs never mix.  Neither the loop files nor the search counts in
 the sidecar depend on ``--jobs``.  Invalid search settings (``--order 0``,
-``--jobs 0``, a budget that is not positive) are bad input: one
+``--jobs 0``, a budget that is not positive and finite) are bad input: one
 ``error:`` line and exit 2, before anything is written.
 """
 
@@ -165,7 +165,7 @@ def _write_search_output(result: SearchResult, out_dir: str, elapsed: float) -> 
         "spec": {
             "order": result.spec.order,
             "class": result.spec.constraint,
-            "mode": result.spec.mode,
+            "mode": "find-first" if result.spec.target else "enumerate",
             "target": result.spec.target,
             "jobs": result.spec.jobs,
             "node_budget": result.spec.node_budget,
@@ -191,7 +191,6 @@ def cmd_enumerate(args) -> int:
     spec = SearchSpec(
         order=args.order,
         constraint=args.constraint,
-        mode="enumerate",
         node_budget=args.budget_nodes,
         wall_budget_s=args.budget_seconds,
         jobs=args.jobs,
@@ -209,7 +208,6 @@ def cmd_find(args) -> int:
     spec = SearchSpec(
         order=args.order,
         constraint=args.constraint,
-        mode="find-first",
         target=args.find,
         node_budget=args.budget_nodes,
         wall_budget_s=args.budget_seconds,

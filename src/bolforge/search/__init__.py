@@ -2,9 +2,14 @@
 
 The cell-fill kernel exists twice: a hand-written C extension
 (``_kernel_c``, built by ``setup.py``) for speed and a pure-Python twin
-(``_kernel_py``) used when the extension is not built.  Selection happens
-here at import lookup time; the env var ``BOLFORGE_KERNEL`` (``c`` or
-``python``) forces a backend.  Both produce identical output.
+(``_kernel_py``) used when the extension is not built.  Both produce
+identical output.  ``get_kernel()`` picks the backend, and the env var
+``BOLFORGE_KERNEL`` (``c`` or ``python``) is the one way to force it;
+``get_kernel(name)`` looks a backend up by name.
+
+A kernel ``run`` given a ``leaf_cb`` is a hunt: it stops at the first
+canonical leaf the callback accepts.  At the engine level a
+``SearchSpec`` with a ``target`` is a hunt (``find_first``).
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@
  * results, every counter included, for equal arguments.  See the Python
  * module for the algorithm.  Tables are flat row-major byte arrays with
  * EMPTY marking an unfilled cell; row 0 and column 0 hold the identity.
+ * A leaf_cb other than None makes run a hunt that stops at the first
+ * canonical leaf the callback accepts.
  *
  * Every write to the table T also goes to its transpose Tt, the table of
  * the opposite loop.  A loop is right Bol exactly when its opposite is
@@ -38,7 +40,7 @@ enum {
 
 typedef struct {
     int n, constraint, ncells;
-    int find_mode, debug_leaf, prefix_only, found, exhausted;
+    int prefix_only, found, exhausted;
     long long node_budget, nodes, latin_prunes, identity_prunes;
     long long iso_prunes, leaves, canonical;
     double deadline;
@@ -366,17 +368,13 @@ leaf(Search *s)
     if (s->prefix_only)
         return keep_table(s, PyBytes_FromStringAndSize((const char *)&s->T[n + 1], n - 1));
     s->leaves++;
-    if (s->debug_leaf && !identity_ok(s)) {
-        PyErr_SetString(PyExc_RuntimeError, "incremental identity check missed a violation");
-        return -1;
-    }
     if (min_reject(s, n - 1))
         return 0;
     s->canonical++;
     tb = PyBytes_FromStringAndSize((const char *)s->T, n * n);
     if (tb == NULL)
         return -1;
-    if (!s->find_mode)
+    if (s->leaf_cb == Py_None)
         return keep_table(s, tb);
     res = PyObject_CallOneArg(s->leaf_cb, tb);
     hit = res == NULL ? -1 : PyObject_IsTrue(res);
@@ -480,23 +478,22 @@ search_run(Search *s, int start)
 /* -- module functions ---------------------------------------------------------- */
 
 PyDoc_STRVAR(run_doc,
-"run(n, constraint, prefix=None, find_mode=False, leaf_cb=None,\n"
-"    node_budget=100000000, deadline=0.0, debug_leaf=False)\n"
+"run(n, constraint, prefix=None, leaf_cb=None, node_budget=100000000,\n"
+"    deadline=0.0)\n"
 "--\n\n"
 "Search the (sub)tree of normalized order-n tables; see _kernel_py docs.");
 
 static PyObject *
 kernel_run(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "constraint", "prefix", "find_mode", "leaf_cb",
-                             "node_budget", "deadline", "debug_leaf", NULL};
+    static char *kwlist[] = {"n", "constraint", "prefix", "leaf_cb", "node_budget", "deadline",
+                             NULL};
     Search s = SEARCH_DEFAULTS;
     int n, constraint, start;
     PyObject *prefix = Py_None;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|OpOLdp:run", kwlist, &n, &constraint,
-                                     &prefix, &s.find_mode, &s.leaf_cb, &s.node_budget,
-                                     &s.deadline, &s.debug_leaf))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|OOLd:run", kwlist, &n, &constraint,
+                                     &prefix, &s.leaf_cb, &s.node_budget, &s.deadline))
         return NULL;
     start = search_init(&s, n, constraint, prefix, 0);
     if (start < 0)

@@ -7,6 +7,9 @@ flat row-major ``bytearray`` buffers with 255 marking an empty cell.
 Row 0 and column 0 are pinned to the identity maps up front; the
 remaining cells are filled row-major with candidate values tried in
 ascending order, so leaves are visited in lexicographic table order.
+A ``leaf_cb`` makes the search a hunt: each canonical leaf is passed to
+it, and the search stops at the first one it accepts.  Without one,
+every canonical leaf is kept.
 
 Pruning:
 
@@ -140,22 +143,18 @@ class _Search:
         n: int,
         constraint: int,
         prefix: bytes | None = None,
-        find_mode: bool = False,
         leaf_cb=None,
         node_budget: int = 10**8,
         deadline: float = 0.0,
-        debug_leaf: bool = False,
         prefix_only: bool = False,
     ):
         if constraint not in _CONSTRAINTS:
             raise ValueError(f"unknown constraint id {constraint}")
         self.n = n
         self.constraint = constraint
-        self.find_mode = find_mode
         self.leaf_cb = leaf_cb
         self.node_budget = node_budget
         self.deadline = deadline
-        self.debug_leaf = debug_leaf
         self.prefix_only = prefix_only
 
         self.T = bytearray([EMPTY]) * (n * n)
@@ -271,13 +270,11 @@ class _Search:
             self.tables.append(bytes(self.T[n + 1 : n + n]))
             return 0
         self.leaves += 1
-        if self.debug_leaf and not self._identity_ok():
-            raise RuntimeError("incremental identity check missed a violation")
         if self._min_reject(self.n - 1):
             return 0
         self.canonical += 1
         tb = bytes(self.T)
-        if self.find_mode:
+        if self.leaf_cb is not None:
             if self.leaf_cb(tb):
                 self.tables.append(tb)
                 self.found = True
@@ -352,22 +349,18 @@ def run(
     n: int,
     constraint: int,
     prefix: bytes | None = None,
-    find_mode: bool = False,
     leaf_cb=None,
     node_budget: int = 10**8,
     deadline: float = 0.0,
-    debug_leaf: bool = False,
 ) -> dict:
     """Search the (sub)tree of normalized order-n tables; see module docs."""
     search = _Search(
         n,
         constraint,
         prefix=prefix,
-        find_mode=find_mode,
         leaf_cb=leaf_cb,
         node_budget=node_budget,
         deadline=deadline,
-        debug_leaf=debug_leaf,
     )
     return search.run()
 

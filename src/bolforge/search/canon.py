@@ -24,9 +24,7 @@ from . import get_kernel
 EXACT_ORDER_LIMIT = 10
 
 
-def canonical_form(
-    table: LoopTable, method: str = "exact", backend: str | None = None
-) -> LoopTable:
+def canonical_form(table: LoopTable, method: str = "exact") -> LoopTable:
     """Canonical relabeling of a loop.
 
     ``method="exact"`` raises OrderTooLargeForExact beyond order 10;
@@ -43,8 +41,7 @@ def canonical_form(
         raise OrderTooLargeForExact(
             f"exact canonical labeling supports order <= {EXACT_ORDER_LIMIT}, got {n}"
         )
-    kernel = get_kernel(backend)
-    flat = kernel.canonical_form_bytes(normal.flat_bytes(), n)
+    flat = get_kernel().canonical_form_bytes(normal.flat_bytes(), n)
     return LoopTable.from_flat(flat, n)
 
 

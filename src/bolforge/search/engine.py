@@ -2,6 +2,9 @@
 
 The cell-fill kernel (compiled when available, pure Python otherwise)
 explores normalized tables and emits canonical class representatives.
+A spec with a ``target`` is a hunt: ``find_first`` hands the kernel a
+leaf callback that evaluates the target, and the kernel stops at the
+first canonical leaf it accepts.  ``enumerate_loops`` drops any target.
 This module splits the tree into independent subtrees at the row-1
 boundary, runs them sequentially or on a process pool, merges results,
 and re-verifies every emitted table with the property checkers - the
@@ -27,6 +30,7 @@ node counts are those of the left Bol search.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -64,33 +68,32 @@ DEFAULT_WALL_BUDGET = 600.0
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: order, class constraint, mode, target, budgets."""
+    """What to search: order, class constraint, target, budgets.
+
+    A spec with a ``target`` is a hunt for the first loop that meets it;
+    one without enumerates the classes.  ``BOLFORGE_KERNEL`` chooses the
+    kernel (``get_kernel``).
+    """
 
     order: int
     constraint: str = "none"
-    mode: str = "enumerate"  # "enumerate" | "find-first"
     target: str | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
     wall_budget_s: float = DEFAULT_WALL_BUDGET
     jobs: int = 1
     nonassociative_only: bool = False
-    debug_leaf_check: bool = False
-    backend: str | None = None
 
     def __post_init__(self):
         if self.order < 1:
             raise InvalidSearchSpec(f"order must be >= 1, got {self.order}")
         if self.constraint not in CONSTRAINT_IDS:
             raise InvalidSearchSpec(f"unknown class constraint {self.constraint!r}")
-        if self.mode not in ("enumerate", "find-first"):
-            raise InvalidSearchSpec(f"unknown mode {self.mode!r}")
-        if self.mode == "find-first":
-            if self.target not in TARGET_CHECKS:
-                raise InvalidSearchSpec(
-                    f"unknown target {self.target!r}; known: {', '.join(sorted(TARGET_CHECKS))}"
-                )
-        if self.node_budget < 1 or self.wall_budget_s <= 0:
-            raise InvalidSearchSpec("budgets must be positive")
+        if self.target is not None and self.target not in TARGET_CHECKS:
+            raise InvalidSearchSpec(
+                f"unknown target {self.target!r}; known: {', '.join(sorted(TARGET_CHECKS))}"
+            )
+        if self.node_budget < 1 or not 0 < self.wall_budget_s < math.inf:
+            raise InvalidSearchSpec("budgets must be positive and finite")
         if self.jobs < 1:
             raise InvalidSearchSpec(f"jobs must be >= 1, got {self.jobs}")
 
@@ -184,17 +187,14 @@ def _make_leaf_cb(target: str, n: int):
     return lambda flat: check(LoopTable.from_flat(flat, n)) is not None
 
 
-def _subtree_task(spec: SearchSpec, deadline: float, prefix: bytes) -> dict:
-    find_mode = spec.mode == "find-first"
-    return get_kernel(spec.backend).run(
+def _subtree_task(backend: str, spec: SearchSpec, deadline: float, prefix: bytes) -> dict:
+    return get_kernel(backend).run(
         spec.order,
         CONSTRAINT_IDS[spec.constraint],
         prefix=prefix,
-        find_mode=find_mode,
-        leaf_cb=_make_leaf_cb(spec.target, spec.order) if find_mode else None,
+        leaf_cb=_make_leaf_cb(spec.target, spec.order) if spec.target else None,
         node_budget=spec.node_budget,
         deadline=deadline,
-        debug_leaf=spec.debug_leaf_check,
     )
 
 
@@ -227,9 +227,9 @@ def _run_search(spec: SearchSpec) -> SearchResult:
         raise OrderTooLargeForExact(
             f"search relies on exact isomorph rejection, available for order <= {EXACT_ORDER_LIMIT}"
         )
-    kernel = get_kernel(spec.backend)
+    kernel = get_kernel()
     mirror = spec.constraint == "right-bol"
-    find_mode = spec.mode == "find-first"
+    hunt = spec.target is not None
     deadline = time.monotonic() + spec.wall_budget_s
 
     pre = kernel.collect_prefixes(
@@ -245,9 +245,10 @@ def _run_search(spec: SearchSpec) -> SearchResult:
         pool = ProcessPoolExecutor(max_workers=min(spec.jobs, len(prefixes)))
     found_table: bytes | None = None
     try:
-        for out in (pool.map if pool else map)(partial(_subtree_task, spec, deadline), prefixes):
+        task = partial(_subtree_task, kernel.BACKEND, spec, deadline)
+        for out in (pool.map if pool else map)(task, prefixes):
             parts.append(out)
-            if find_mode and out["found"]:
+            if hunt and out["found"]:
                 found_table = out["tables"][0]
                 break
     finally:
@@ -257,7 +258,7 @@ def _run_search(spec: SearchSpec) -> SearchResult:
     stats = _merge_stats(parts, subtrees=len(prefixes))
     exhausted = all(p["exhausted"] for p in parts)
 
-    if find_mode:
+    if hunt:
         if found_table is None:
             return SearchResult(
                 spec, (), (), stats, exhausted, found=False, backend=kernel.BACKEND
@@ -291,10 +292,11 @@ def _run_search(spec: SearchSpec) -> SearchResult:
 
 
 def enumerate_loops(spec: SearchSpec) -> SearchResult:
-    """All isomorphism classes of order-n loops satisfying the constraint."""
-    if spec.mode != "enumerate":
-        spec = replace(spec, mode="enumerate", target=None)
-    return _run_search(spec)
+    """All isomorphism classes of order-n loops satisfying the constraint.
+
+    A target in ``spec`` is ignored.
+    """
+    return _run_search(replace(spec, target=None))
 
 
 def find_first(spec: SearchSpec) -> SearchResult:
@@ -305,6 +307,6 @@ def find_first(spec: SearchSpec) -> SearchResult:
     the first left Bol witness in left Bol canonical order.  That need
     not be the right Bol witness that comes first in canonical order.
     """
-    if spec.mode != "find-first":
-        raise ValueError("find_first requires a find-first SearchSpec")
+    if spec.target is None:
+        raise ValueError("find_first requires a SearchSpec with a target")
     return _run_search(spec)

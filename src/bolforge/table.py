@@ -70,21 +70,11 @@ class LoopTable:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[int]],
-        identity: int | None = None,
-        normalize: bool = False,
-    ) -> "LoopTable":
-        """Build a table, auto-detecting the identity when not given.
-
-        With ``normalize=True`` the result is relabeled so the identity
-        is element 0.
-        """
+    def from_rows(cls, rows: Sequence[Sequence[int]], identity: int | None = None) -> "LoopTable":
+        """Build a table, auto-detecting the identity when not given."""
         if identity is None:
             identity = _detect_identity(rows)
-        table = cls(tuple(tuple(r) for r in rows), identity)
-        return table.normalized() if normalize else table
+        return cls(tuple(tuple(r) for r in rows), identity)
 
     @classmethod
     def from_flat(cls, data: Sequence[int] | bytes, n: int, identity: int = 0) -> "LoopTable":
@@ -287,15 +277,14 @@ def _detect_identity(rows: Sequence[Sequence[int]]) -> int:
     raise NoIdentity("no two-sided neutral element found")
 
 
-def parse_loop(text: str, normalize: bool = False) -> LoopTable:
+def parse_loop(text: str) -> LoopTable:
     """Parse the canonical table format (or its CSV variant).
 
     Format: optional '#' comment lines, an optional ``identity=k``
     header, a line holding the order n, then n lines of n
     whitespace-separated cells.  In the CSV variant cells are
     comma-separated and the order is inferred from the row count (no
-    dimension line).  With ``normalize=True`` the loop is relabeled so
-    the identity is element 0.
+    dimension line).  ``.normalized()`` relabels the identity to 0.
     """
     header_identity: int | None = None
     data: list[tuple[int, str]] = []
@@ -357,5 +346,4 @@ def parse_loop(text: str, normalize: bool = False) -> LoopTable:
     if header_identity is not None and not 0 <= header_identity < n:
         raise NoIdentity(f"identity header {header_identity} outside 0..{n - 1}")
     identity = header_identity if header_identity is not None else _detect_identity(rows)
-    table = LoopTable(tuple(rows), identity)
-    return table.normalized() if normalize else table
+    return LoopTable(tuple(rows), identity)

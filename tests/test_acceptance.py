@@ -89,12 +89,12 @@ def test_criterion_3_odd_commutant_orders_make_commutant_a_subloop(corpus, bruck
     refuted = []
     verified_ids = []
     for loop_id, table in corpus:
-        verdict = check_theorem1(table, loop_id)
+        verdict = check_theorem1(table)
         if verdict.status == "REFUTED":
             refuted.append((loop_id, verdict))
         elif verdict.status == "verified":
             verified_ids.append(loop_id)
-    bruck_verdict = check_theorem1(bruck21, "bruck-n21")
+    bruck_verdict = check_theorem1(bruck21)
     ok = not refuted and bruck_verdict.status == "verified" and "bruck-n21" in verified_ids
     _report(3, "odd-order commutant is a subloop, with half-power square roots", ok)
     assert bruck_verdict.status == "verified"
@@ -126,7 +126,6 @@ def test_criterion_4_order8_right_bol_commutant_counterexample(right_bol_8):
         SearchSpec(
             order=8,
             constraint="right-bol",
-            mode="find-first",
             target="commutant-not-subloop",
             jobs=1,
         )
@@ -142,7 +141,7 @@ def test_criterion_4_order8_right_bol_commutant_counterexample(right_bol_8):
     classes_ok = len(right_bol_8) == LEFT_BOL_COUNTS[8] and not bad_classes
     # positive control: the same hunt does find a witness where one exists
     control = find_first(
-        SearchSpec(order=6, mode="find-first", target="commutant-not-subloop", jobs=1)
+        SearchSpec(order=6, target="commutant-not-subloop", jobs=1)
     )
     control_ok = control.found and _escapes_commutant(control.witnesses[0])
     ok = hunt_ok and classes_ok and control_ok
@@ -198,7 +197,6 @@ def test_criterion_7_no_finite_conjecture_witness_upto_9():
             SearchSpec(
                 order=n,
                 constraint="left-bol",
-                mode="find-first",
                 target="conjecture-witness",
                 jobs=1,
             )

@@ -81,7 +81,7 @@ class TestTheorem1:
     def test_hypothesis_satisfying_corpus(self, corpus):
         checked = 0
         for loop_id, t in corpus:
-            verdict = check_theorem1(t, loop_id)
+            verdict = check_theorem1(t)
             assert verdict.status != REFUTED, (loop_id, verdict)
             if verdict.status == VERIFIED:
                 checked += 1
@@ -167,7 +167,7 @@ class TestRemark2:
         # applies to arbitrary loops, Bol or not; never REFUTED
         statuses = set()
         for loop_id, t in corpus:
-            verdict = check_remark2_extension(t, loop_id)
+            verdict = check_remark2_extension(t)
             assert verdict.status != REFUTED, (loop_id, verdict)
             statuses.add(verdict.status)
         assert VERIFIED in statuses
@@ -197,14 +197,13 @@ class TestStaticClaims:
 
     def test_center_normal_everywhere(self, corpus):
         for loop_id, t in corpus:
-            assert CLAIM_CHECKS["CENTER_NORMAL"](t, loop_id).status == VERIFIED, loop_id
+            assert CLAIM_CHECKS["CENTER_NORMAL"](t).status == VERIFIED, loop_id
 
 
 class TestCheckAll:
     def test_covers_registry(self, bruck21):
-        verdicts = check_all(bruck21, "b21")
+        verdicts = check_all(bruck21)
         assert [v.claim for v in verdicts] == list(CLAIM_IDS)
-        assert all(v.scope == "b21" for v in verdicts)
 
     def test_one_left_bol_scan_per_table_and_mirror(self, bruck21, monkeypatch):
         table = LoopTable(bruck21.rows, bruck21.identity)  # no scan kept from other tests
@@ -232,7 +231,7 @@ class TestCheckAll:
 
     def test_no_refutations_on_corpus(self, corpus):
         for loop_id, t in corpus:
-            for verdict in check_all(t, loop_id):
+            for verdict in check_all(t):
                 assert verdict.status != REFUTED, (loop_id, verdict)
 
 
@@ -295,14 +294,14 @@ class TestCorpusRuns:
             events.append("parse")
             return parse_loop(text)
 
-        def check(table, scope=""):
-            events.append(f"check {scope}")
-            return check_lemma1(table, scope)
+        def check(table):
+            events.append(f"check {table.order}")
+            return check_lemma1(table)
 
         monkeypatch.setattr(claims, "parse_loop", parse)
         monkeypatch.setitem(claims.CLAIM_CHECKS, "LEMMA1", check)
         report = run_corpus(path, claims=["LEMMA1"])
-        assert events == ["parse", "check z3.loop", "parse", "parse", "check s3.loop"]
+        assert events == ["parse", "check 3", "parse", "parse", "check 6"]
         assert list(report.parse_errors) == ["bad.loop"]
 
     def test_claim_subset(self, tmp_path):

@@ -147,8 +147,8 @@ class TestVerify:
         # fault injection: a corrupted checker must fail the run
         import bolforge.claims as claims_mod
 
-        def broken(table, scope=""):
-            return ClaimVerdict("LEMMA1", "REFUTED", scope, "injected fault", (0,))
+        def broken(table):
+            return ClaimVerdict("LEMMA1", "REFUTED", "injected fault", (0,))
 
         monkeypatch.setitem(claims_mod.CLAIM_CHECKS, "LEMMA1", broken)
         assert main(["verify", str(manifest)]) == 1
@@ -163,6 +163,7 @@ class TestEnumerate:
         assert len(files) == 6
         stats = json.loads((out / "stats.json").read_text())
         assert stats["exhausted"] is True
+        assert stats["spec"]["mode"] == "enumerate"
         assert stats["backend"] == get_kernel().BACKEND
         assert set(stats["representatives"]) == files
         for p in out.glob("*.loop"):
@@ -202,6 +203,8 @@ class TestEnumerate:
             ["enumerate", "--order", "0"],
             ["enumerate", "--order", "3", "--budget-nodes", "0"],
             ["find", "--order", "5", "--find", "commutant-not-subloop", "--budget-seconds", "-1"],
+            ["enumerate", "--order", "3", "--budget-seconds", "nan"],
+            ["find", "--order", "5", "--find", "commutant-not-subloop", "--budget-seconds", "inf"],
         ],
     )
     def test_bad_search_settings_exit_2_before_writing(self, tmp_path, capsys, argv):
@@ -255,6 +258,7 @@ class TestFind:
         assert code == 0
         stats = json.loads((out / "stats.json").read_text())
         assert stats["found"] is True
+        assert stats["spec"]["mode"] == "find-first"
         assert len(stats["witnesses"]) == 1
         witness_file = out / stats["witnesses"][0]["file"]
         parse_loop(witness_file.read_text())

@@ -1,7 +1,7 @@
 import hashlib
 import inspect
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations
 
 import pytest
@@ -12,6 +12,7 @@ from bolforge import (
     NotAGroup,
     OrderTooLargeForExact,
     PostConstructionCheckFailed,
+    SearchSelfCheckError,
     SearchSpec,
     canonical_form,
     commutant,
@@ -27,7 +28,7 @@ from bolforge import (
     parse_loop,
 )
 from bolforge.catalog import cyclic, direct_product, frobenius_21
-from bolforge.search import get_kernel
+from bolforge.search import _kernel_py, get_kernel
 
 from frozen import (
     GROUP_COUNTS,
@@ -273,10 +274,6 @@ class TestDeterminismAndBudgets:
         stats = enumerate_loops(SearchSpec(order=n)).stats
         assert (stats.nodes, stats.iso_prunes, stats.leaves) == (nodes, iso_prunes, leaves)
 
-    def test_debug_leaf_check_clean(self):
-        result = enumerate_loops(SearchSpec(order=5, constraint="left-bol", debug_leaf_check=True))
-        assert result.exhausted
-
     def test_node_budget_exhaustion(self):
         result = enumerate_loops(SearchSpec(order=6, node_budget=50))
         assert not result.exhausted
@@ -295,10 +292,10 @@ class TestDeterminismAndBudgets:
         assert [t.rows for t in a.representatives] == [t.rows for t in b.representatives]
         assert a.stats == b.stats
 
-    def test_result_names_the_backend_that_ran(self):
-        result = enumerate_loops(SearchSpec(order=4, backend="python"))
-        assert result.backend == "python"
+    def test_result_names_the_backend_that_ran(self, monkeypatch):
         assert enumerate_loops(SearchSpec(order=4)).backend == get_kernel().BACKEND
+        monkeypatch.setenv("BOLFORGE_KERNEL", "python")
+        assert enumerate_loops(SearchSpec(order=4)).backend == "python"
 
     def test_order_too_large(self):
         with pytest.raises(OrderTooLargeForExact):
@@ -328,11 +325,43 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError):
             SearchSpec(order=5, constraint="flexible")
         with pytest.raises(ValueError):
-            SearchSpec(order=5, mode="find-first", target="anything")
+            SearchSpec(order=5, target="anything")
+        with pytest.raises(ValueError, match="target"):
+            find_first(SearchSpec(order=5))
         with pytest.raises(ValueError):
             SearchSpec(order=5, node_budget=0)
         with pytest.raises(ValueError):
             SearchSpec(order=5, jobs=0)
+
+    def test_settings_surface_pinned(self):
+        # one source per setting: a new search knob has to change this pin
+        assert [f.name for f in fields(SearchSpec)] == [
+            "order",
+            "constraint",
+            "target",
+            "node_budget",
+            "wall_budget_s",
+            "jobs",
+            "nonassociative_only",
+        ]
+        params = inspect.signature(get_kernel("python").run).parameters
+        assert list(params) == ["n", "constraint", "prefix", "leaf_cb", "node_budget", "deadline"]
+
+
+class TestSelfCheckTraps:
+    """The engine's re-verification of emitted tables catches a faulty kernel."""
+
+    def test_missed_identity_violation_raises(self, monkeypatch):
+        monkeypatch.setenv("BOLFORGE_KERNEL", "python")
+        monkeypatch.setattr(_kernel_py._Search, "_check_left_bol", lambda self, T: True)
+        with pytest.raises(SearchSelfCheckError, match="violates left-bol"):
+            enumerate_loops(SearchSpec(order=6, constraint="left-bol"))
+
+    def test_missed_minimality_rejection_raises(self, monkeypatch):
+        monkeypatch.setenv("BOLFORGE_KERNEL", "python")
+        monkeypatch.setattr(_kernel_py._Search, "_min_reject", lambda self, rows_filled: False)
+        with pytest.raises(SearchSelfCheckError, match="not in canonical form"):
+            enumerate_loops(SearchSpec(order=5))
 
 
 class TestFindFirst:
@@ -340,14 +369,14 @@ class TestFindFirst:
         # derived: no loop of order <= 5 has a non-subloop commutant
         for n in (4, 5):
             result = find_first(
-                SearchSpec(order=n, mode="find-first", target="commutant-not-subloop")
+                SearchSpec(order=n, target="commutant-not-subloop")
             )
             assert not result.found
             assert result.exhausted
 
     def test_found_at_order6(self, all_loops_upto_6):
         result = find_first(
-            SearchSpec(order=6, mode="find-first", target="commutant-not-subloop")
+            SearchSpec(order=6, target="commutant-not-subloop")
         )
         assert result.found and not result.exhausted
         witness = result.witnesses[0]
@@ -362,7 +391,7 @@ class TestFindFirst:
 
     def test_found_witness_pair_reevaluates(self):
         result = find_first(
-            SearchSpec(order=6, mode="find-first", target="commutant-not-subloop")
+            SearchSpec(order=6, target="commutant-not-subloop")
         )
         data = result.witnesses[0].data
         t = result.witnesses[0].table
@@ -373,7 +402,7 @@ class TestFindFirst:
     def test_find_jobs_deterministic(self):
         # every worker count stops at the first subtree with a witness, so the
         # counters cover the same subtrees; a pool that ran all 5 counted 1,751 nodes
-        spec = SearchSpec(order=6, mode="find-first", target="commutant-not-subloop")
+        spec = SearchSpec(order=6, target="commutant-not-subloop")
         a = find_first(spec)
         assert (a.stats.nodes, a.stats.subtrees) == (402, 5)
         for jobs in (2, 4):
@@ -390,7 +419,7 @@ class TestFindFirst:
             return None if is_associative(t).holds else {"table": t.flat_bytes().hex()}
 
         monkeypatch.setitem(engine.TARGET_CHECKS, "commutant-not-subloop", nonassociative)
-        spec = SearchSpec(order=8, mode="find-first", target="commutant-not-subloop")
+        spec = SearchSpec(order=8, target="commutant-not-subloop")
         left = find_first(replace(spec, constraint="left-bol"))
         right = find_first(replace(spec, constraint="right-bol"))
         assert left.found and right.found
@@ -403,8 +432,7 @@ class TestFindFirst:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_conjecture_witness_absent_small_orders(self, n):
         result = find_first(
-            SearchSpec(order=n, constraint="left-bol", mode="find-first",
-                       target="conjecture-witness")
+            SearchSpec(order=n, constraint="left-bol", target="conjecture-witness")
         )
         assert not result.found
         assert result.exhausted
@@ -425,7 +453,6 @@ class TestKernelParity:
         kp = get_kernel("python")
         for budget in (7, 300):
             assert kc.run(5, 0, node_budget=budget) == kp.run(5, 0, node_budget=budget)
-        assert kc.run(5, 1, debug_leaf=True) == kp.run(5, 1, debug_leaf=True)
         # Moufang scans both the table and its transpose, which prefixes fill too
         moufang = kp.CONSTRAINT_MOUFANG
         for prefix in kp.collect_prefixes(6, moufang)["tables"]:
@@ -435,7 +462,7 @@ class TestKernelParity:
             seen = []
             return lambda tb: seen.append(tb) or len(seen) == 5
 
-        c_out, p_out = (k.run(5, 0, find_mode=True, leaf_cb=fifth_leaf_hits()) for k in (kc, kp))
+        c_out, p_out = (k.run(5, 0, leaf_cb=fifth_leaf_hits()) for k in (kc, kp))
         assert c_out == p_out
         assert c_out["found"] and not c_out["exhausted"] and len(c_out["tables"]) == 1
 
@@ -457,7 +484,7 @@ class TestKernelParity:
             raise KeyError("leaf")
 
         with pytest.raises(KeyError):
-            kc.run(4, 0, find_mode=True, leaf_cb=broken)
+            kc.run(4, 0, leaf_cb=broken)
         with pytest.raises(ValueError, match=r"kernel supports orders 1\.\.10, got 11"):
             kc.run(11, 0)
         with pytest.raises(ValueError, match=r"kernel supports orders 1\.\.10, got 11"):
@@ -477,9 +504,12 @@ class TestKernelParity:
             flat = bytes(v for row in rows for v in row)
             assert kc.canonical_form_bytes(flat, 5) == kp.canonical_form_bytes(flat, 5)
 
-    def test_engine_results_identical_across_backends(self):
-        a = enumerate_loops(SearchSpec(order=6, constraint="left-bol", backend="c"))
-        b = enumerate_loops(SearchSpec(order=6, constraint="left-bol", backend="python"))
+    def test_engine_results_identical_across_backends(self, monkeypatch):
+        spec = SearchSpec(order=6, constraint="left-bol")
+        monkeypatch.setenv("BOLFORGE_KERNEL", "c")
+        a = enumerate_loops(spec)
+        monkeypatch.setenv("BOLFORGE_KERNEL", "python")
+        b = enumerate_loops(spec)
         assert [t.rows for t in a.representatives] == [t.rows for t in b.representatives]
         assert a.stats == b.stats
         assert (a.backend, b.backend) == ("c", "python")

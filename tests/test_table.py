@@ -78,7 +78,7 @@ class TestParse:
             parse_loop(text)
 
     def test_normalize_relabels_identity_to_zero(self):
-        t = parse_loop(KLEIN_RELABELED, normalize=True)
+        t = parse_loop(KLEIN_RELABELED).normalized()
         assert t.identity == 0
         assert t.rows[0] == (0, 1, 2, 3)
 
